@@ -19,6 +19,7 @@ from .rng import Rng, mix_seed
 
 VARIANT_STANDARD = "standard"
 VARIANT_CONCAT = "concat"
+VARIANTS = (VARIANT_STANDARD, VARIANT_CONCAT)
 
 # sample-sweep grids stay at n <= a few hundred, so their n^2 x 2d designs
 # are megabytes; this cap only guards accidental quadratic blowups
@@ -72,23 +73,26 @@ def design_rank(X: np.ndarray) -> int:
     return int(np.sum(s > _svd_cutoff(s, *X.shape)))
 
 
-def _sweep_cell(d, sigma, n, n_test, seed, variant):
-    """One (n, seed) cell. Draw order: theta, train, test; the variant is
-    applied after the draws so standard/concat consume identical bytes."""
-    rng = Rng(mix_seed(seed, n))
-    theta = sample_theta(d, rng)
-    train = gen_linreg(n, d, sigma, theta, rng)
-    test = gen_linreg(n_test, d, sigma, theta, rng)
+def _fit_variant(train, test, variant, d):
+    """Fit one variant on a cell's base draws: (train MSE, test MSE, params)."""
     if variant == VARIANT_CONCAT:
         train = materialize(ConcatView(train), SWEEP_MATERIALIZE_BUDGET)
         test = build_concat_test(test)
         params = 2 * d
-    elif variant == VARIANT_STANDARD:
-        params = d
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        params = d
     model = pinv_solve(train.features, train.targets)
     return mse(model, train), mse(model, test), params
+
+
+def _sweep_cell(d, sigma, n, n_test, seed, variants):
+    """One (n, seed) cell. Draw order: theta, train, test; every variant is
+    then fitted on those same arrays, so standard and concat share bytes."""
+    rng = Rng(mix_seed(seed, n))
+    theta = sample_theta(d, rng)
+    train = gen_linreg(n, d, sigma, theta, rng)
+    test = gen_linreg(n_test, d, sigma, theta, rng)
+    return [_fit_variant(train, test, variant, d) for variant in variants]
 
 
 def lower_median(values) -> float:
@@ -100,13 +104,15 @@ def lower_median(values) -> float:
 
 
 def linreg_sample_sweep(d: int, sigma: float, n_grid, seeds, n_test: int,
-                        variant: str = VARIANT_STANDARD,
+                        variants=(VARIANT_STANDARD,),
                         experiment_id: str = "linreg") -> list[CurvePoint]:
-    """Test-MSE-versus-samples sweep for one variant.
+    """Test-MSE-versus-samples sweep, fitting every variant per cell.
 
-    Returns one point per (n, seed) plus one median point per n (status
-    "median", empty seed).  Cell draws depend only on (seed, n), so running
-    the concat variant separately still pairs it with the same base data.
+    Each (n, seed) cell draws its data once and fits all ``variants`` on
+    it.  Points come out variant-major: for each variant, per n, one point
+    per seed and then one median point (status "median", empty seed).
+    Cell draws depend only on (seed, n), so a single-variant sweep yields
+    the same points as that variant's slice of a multi-variant one.
     """
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
@@ -114,24 +120,30 @@ def linreg_sample_sweep(d: int, sigma: float, n_grid, seeds, n_test: int,
         raise ValueError("seeds must be nonempty")
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
-    points = []
+    if not variants:
+        raise ValueError("variants must be nonempty")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+    rows = [[] for _ in variants]
     for n in n_grid:
-        per_seed = []
-        for seed in seeds:
-            train_mse, test_mse, params = _sweep_cell(
-                d, sigma, n, n_test, seed, variant)
-            per_seed.append((train_mse, test_mse))
-            points.append(CurvePoint(
+        cells = [_sweep_cell(d, sigma, n, n_test, seed, variants)
+                 for seed in seeds]
+        for k, variant in enumerate(variants):
+            per_seed = [cell[k] for cell in cells]
+            params = per_seed[0][2]
+            for seed, (train_mse, test_mse, _) in zip(seeds, per_seed):
+                rows[k].append(CurvePoint(
+                    experiment_id, variant, "samples", float(n),
+                    train_loss=train_mse, test_loss=test_mse, seed=seed,
+                    params=params, param_sample_ratio=params / n))
+            rows[k].append(CurvePoint(
                 experiment_id, variant, "samples", float(n),
-                train_loss=train_mse, test_loss=test_mse, seed=seed,
-                params=params, param_sample_ratio=params / n))
-        points.append(CurvePoint(
-            experiment_id, variant, "samples", float(n),
-            train_loss=lower_median(t for t, _ in per_seed),
-            test_loss=lower_median(t for _, t in per_seed),
-            params=params, param_sample_ratio=params / n,
-            status=STATUS_MEDIAN))
-    return points
+                train_loss=lower_median(t for t, _, _ in per_seed),
+                test_loss=lower_median(t for _, t, _ in per_seed),
+                params=params, param_sample_ratio=params / n,
+                status=STATUS_MEDIAN))
+    return [point for variant_rows in rows for point in variant_rows]
 
 
 def median_points(points) -> list[CurvePoint]:

@@ -57,7 +57,7 @@ def _sweep(variant):
     """Medians by n, per-seed test MSE by n, and wall time of one sweep."""
     started = time.perf_counter()
     points = linreg_sample_sweep(D, SIGMA, GRID, SEEDS, N_TEST,
-                                 variant=variant)
+                                 variants=(variant,))
     elapsed = time.perf_counter() - started
     medians = {int(p.axis_value): p.test_loss for p in median_points(points)}
     test_by_n = {n: [] for n in GRID}

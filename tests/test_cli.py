@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ddlab
 from ddlab import write_idx
@@ -75,6 +76,17 @@ class TestSweepCommands:
         proc = run_cli(["linreg-sweep", "-c", str(cfg)])
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1] == "error: unknown key 'sgima'"
+
+    @pytest.mark.parametrize(
+        "override", ["d=0", "d=-3", "n_test=0", "sigma=NaN", "sigma=-0.1"])
+    def test_bad_linreg_size_exit_code_2(self, tmp_path, override):
+        cfg = write_config(tmp_path, tiny_linreg_config())
+        proc = run_cli(["linreg-sweep", "-c", str(cfg), "--set", override,
+                        "-o", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli(["linreg-sweep", "-c", str(tmp_path / "none.json")])

@@ -143,11 +143,29 @@ class TestSweep:
         assert 0.010 <= med <= 0.025
 
     def test_concat_variant_pairs_with_standard(self):
-        std = linreg_sample_sweep(4, 0.1, [6], [0, 1], 20, variant="standard")
-        cat = linreg_sample_sweep(4, 0.1, [6], [0, 1], 20, variant="concat")
+        std = linreg_sample_sweep(4, 0.1, [6], [0, 1], 20,
+                                  variants=("standard",))
+        cat = linreg_sample_sweep(4, 0.1, [6], [0, 1], 20,
+                                  variants=("concat",))
         assert [p.seed for p in std] == [p.seed for p in cat]
         assert all(p.params == 8 for p in cat)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             linreg_sample_sweep(5, 0.1, [], [0], 10)
+
+    def test_both_variants_equal_separate_sweeps(self):
+        args = (4, 0.1, [3, 6, 9], [0, 1, 2], 40)
+        both = linreg_sample_sweep(*args, variants=("standard", "concat"))
+        std = linreg_sample_sweep(*args, variants=("standard",))
+        cat = linreg_sample_sweep(*args, variants=("concat",))
+        assert both == std + cat
+
+    def test_unknown_variant_rejected_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew data before validating variants")
+
+        monkeypatch.setattr("ddlab.linreg.sample_theta", no_draws)
+        with pytest.raises(ValueError, match="unknown variant 'stacked'"):
+            linreg_sample_sweep(5, 0.1, [4], [0], 10,
+                                variants=("standard", "stacked"))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +8,16 @@ import pytest
 from ddlab import ConfigError, CurvePoint, parse_config, run_config, summarize
 from ddlab.records import CSV_HEADER
 from ddlab.sweep import (build_base_data, config_to_dict, dataset_hash,
-                         run_mlp_width_sweep)
+                         run_mlp_width_sweep, validate_config)
+
+
+LINREG_BOTH_VARIANTS = {
+    "experiment": "linreg-sample", "experiment_id": "lin",
+    "variants": ["standard", "concat"], "seeds": [0, 1],
+    "d": 4, "sigma": 0.1, "n_grid": [3, 6, 9], "n_test": 40,
+}
+LINREG_BOTH_VARIANTS_SHA256 = (
+    "c72a78d9aee3cf1259ba998672b826b1610cd83241128ff817b6fd6055a148c3")
 
 
 def mixture_config(**overrides):
@@ -62,6 +73,18 @@ class TestConfigParsing:
         raw["data"]["kind"] = "idx"
         with pytest.raises(ConfigError, match="idx data needs"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("key,value", [
+        ("d", 0), ("d", -3), ("d", 2.5), ("d", True), ("n_test", 0),
+        ("n_test", 40.0), ("sigma", -0.1), ("sigma", float("nan")),
+        ("sigma", float("inf"))])
+    def test_linreg_section_rejects_bad_values(self, key, value):
+        # validate_config also guards configs built without parse_config,
+        # where no type coercion has run
+        cfg = dataclasses.replace(parse_config(LINREG_BOTH_VARIANTS),
+                                  **{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be a"):
+            validate_config(cfg)
 
     def test_missing_idx_file_is_config_error(self):
         raw = mixture_config()
@@ -186,17 +209,19 @@ class TestOutputs:
         assert all(p.axis_name == "epoch" for p in result.points)
 
     def test_linreg_csv(self, tmp_path):
-        raw = {
-            "experiment": "linreg-sample", "experiment_id": "lin",
-            "variants": ["standard", "concat"], "seeds": [0, 1],
-            "d": 4, "sigma": 0.1, "n_grid": [3, 6, 9], "n_test": 40,
-        }
-        cfg = parse_config(raw)
+        cfg = parse_config(LINREG_BOTH_VARIANTS)
         result = run_config(cfg, tmp_path)
         medians = [p for p in result.points if p.status == "median"]
         per_seed = [p for p in result.points if p.status == "ok"]
         assert len(medians) == 6  # 3 grid cells x 2 variants
         assert len(per_seed) == 12
+
+    def test_linreg_csv_golden_digest(self, tmp_path):
+        # A change that alters these bytes on purpose re-pins the digest and
+        # says why; any other change must leave it equal.
+        run_config(parse_config(LINREG_BOTH_VARIANTS), tmp_path)
+        digest = hashlib.sha256((tmp_path / "lin.csv").read_bytes())
+        assert digest.hexdigest() == LINREG_BOTH_VARIANTS_SHA256
 
     def test_biasvar_report_file(self, tmp_path):
         raw = {
