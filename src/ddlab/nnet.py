@@ -12,10 +12,18 @@ Gradients are exact derivatives of the batch-mean loss; relu'(0) is taken
 as 0.  The training loop is deterministic for a fixed seed: epoch order
 comes from the dataset permutation (or pair sampling for concatenated
 sources) on the trainer's own stream.
+
+Parameters live in one contiguous float64 vector ``theta`` laid out in
+checkpoint order: W1 (h x d_in, row-major), b1 (h), W2 (c x h, row-major),
+b2 (c).  ``MlpModel.W1`` .. ``b2`` are reshaped views into it, and
+``MlpGrads`` and the optimizer slots use the same layout, so ``copy()`` is
+one copy and an optimizer step is a handful of whole-vector ufunc calls
+instead of a loop over four arrays.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -41,12 +49,56 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass
-class MlpModel:
-    W1: np.ndarray  # (h, d_in)
-    b1: np.ndarray  # (h,)
-    W2: np.ndarray  # (c, h)
-    b2: np.ndarray  # (c,)
+class _ParamVector:
+    """W1, b1, W2, b2 stored as reshaped views into one float64 ``theta``.
+
+    The constructor copies its inputs; each block keeps the shape it was
+    given, so a block of the wrong shape is caught where it is used.
+    """
+
+    __slots__ = ("theta", "_views")
+
+    def __init__(self, W1, b1, W2, b2):
+        blocks = [np.asarray(a, dtype=np.float64) for a in (W1, b1, W2, b2)]
+        self._bind(np.concatenate([b.ravel() for b in blocks]),
+                   [b.shape for b in blocks])
+
+    @classmethod
+    def _from_theta(cls, theta: np.ndarray, shapes):
+        """Wrap ``theta`` itself (no copy) with the given block shapes."""
+        obj = cls.__new__(cls)
+        obj._bind(theta, shapes)
+        return obj
+
+    def _bind(self, theta, shapes):
+        views, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(theta[offset:offset + size].reshape(shape))
+            offset += size
+        self.theta = theta
+        self._views = tuple(views)
+
+    W1 = property(lambda self: self._views[0])
+    b1 = property(lambda self: self._views[1])
+    W2 = property(lambda self: self._views[2])
+    b2 = property(lambda self: self._views[3])
+
+    @property
+    def shapes(self):
+        return [a.shape for a in self._views]
+
+    def arrays(self):
+        return self._views
+
+    def copy(self):
+        return self._from_theta(self.theta.copy(), self.shapes)
+
+
+class MlpModel(_ParamVector):
+    """W1 (h, d_in), b1 (h,), W2 (c, h), b2 (c,) over one ``theta``."""
+
+    __slots__ = ()
 
     @property
     def d_in(self) -> int:
@@ -62,25 +114,11 @@ class MlpModel:
 
     @property
     def param_count(self) -> int:
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.W1.copy(), self.b1.copy(),
-                        self.W2.copy(), self.b2.copy())
-
-    def arrays(self):
-        return (self.W1, self.b1, self.W2, self.b2)
+        return self.theta.size
 
 
-@dataclass
-class MlpGrads:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def arrays(self):
-        return (self.W1, self.b1, self.W2, self.b2)
+class MlpGrads(_ParamVector):
+    __slots__ = ()
 
 
 def mlp_param_count(d_in: int, h: int, c: int) -> int:
@@ -163,13 +201,14 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite {kind} loss")
 
-    gW2 = dZ2.T @ H
-    gb2 = dZ2.sum(axis=0)
+    grads = MlpGrads._from_theta(np.empty(model.theta.size), model.shapes)
+    np.matmul(dZ2.T, H, out=grads.W2)
+    dZ2.sum(axis=0, out=grads.b2)
     dH = dZ2 @ model.W2
     dZ1 = dH * (Z1 > 0.0)
-    gW1 = dZ1.T @ X
-    gb1 = dZ1.sum(axis=0)
-    return loss, MlpGrads(gW1, gb1, gW2, gb2)
+    np.matmul(dZ1.T, X, out=grads.W1)
+    dZ1.sum(axis=0, out=grads.b1)
+    return loss, grads
 
 
 # -- optimizers --------------------------------------------------------------
@@ -217,17 +256,20 @@ class OptimState:
     step: int = 0
     slot_a: MlpGrads | None = None  # momentum velocity / Adam first moment
     slot_b: MlpGrads | None = None  # Adam second moment
+    scratch: tuple = ()  # Adam's two work vectors, reused every step
 
 
 def make_optim_state(config: OptimizerConfig, model: MlpModel) -> OptimState:
     def zeros():
-        return MlpGrads(*[np.zeros_like(a) for a in model.arrays()])
+        return MlpGrads._from_theta(np.zeros_like(model.theta), model.shapes)
 
     state = OptimState(config, lr=config.lr)
     if config.kind in ("momentum", "adam"):
         state.slot_a = zeros()
     if config.kind == "adam":
         state.slot_b = zeros()
+        state.scratch = (np.empty_like(model.theta),
+                         np.empty_like(model.theta))
     return state
 
 
@@ -235,39 +277,47 @@ def opt_step(model: MlpModel, grads: MlpGrads, state: OptimState):
     """In-place parameter update; returns the mutated (model, state).
 
     Weight decay is decoupled and applied as theta *= (1 - lr * wd) before
-    the gradient step.
+    the gradient step.  The update runs once over the whole parameter
+    vector; every element sees the same operations in the same order as a
+    per-array update would, so results are bit-identical to it.
     """
     cfg = state.config
-    params = model.arrays()
-    gs = grads.arrays()
-    for p, g in zip(params, gs):
+    for p, g in zip(model.arrays(), grads.arrays()):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter shape {p.shape}")
     state.step += 1
     lr = state.lr
+    theta, g = model.theta, grads.theta
     if cfg.weight_decay:
-        for p in params:
-            p *= 1.0 - lr * cfg.weight_decay
+        theta *= 1.0 - lr * cfg.weight_decay
     if cfg.kind == "sgd":
-        for p, g in zip(params, gs):
-            p -= lr * g
+        theta -= lr * g
     elif cfg.kind == "momentum":
-        for p, g, v in zip(params, gs, state.slot_a.arrays()):
-            v *= cfg.momentum
-            v += g
-            p -= lr * v
-    else:  # adam
+        v = state.slot_a.theta
+        v *= cfg.momentum
+        v += g
+        theta -= lr * v
+    else:  # adam: p -= lr * (m / c1) / (sqrt(v / c2) + eps)
         t = state.step
         c1 = 1.0 - cfg.beta1 ** t
         c2 = 1.0 - cfg.beta2 ** t
-        for p, g, m, v in zip(params, gs, state.slot_a.arrays(),
-                              state.slot_b.arrays()):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        m, v = state.slot_a.theta, state.slot_b.theta
+        step, denom = state.scratch
+        m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, g, out=step)
+        m += step
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=step)
+        step *= g
+        v += step
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        np.divide(m, c1, out=step)
+        np.multiply(lr, step, out=step)
+        step /= denom
+        theta -= step
     return model, state
 
 
@@ -445,20 +495,18 @@ def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
         raise ValueError("eps must be positive")
     _, grads = loss_and_grad(model, X, T, kind)
     probe = model.copy()
+    theta = probe.theta
     worst = 0.0
-    for p, g in zip(probe.arrays(), grads.arrays()):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + eps
-            hi = loss_and_grad(probe, X, T, kind)[0]
-            flat_p[i] = orig - eps
-            lo = loss_and_grad(probe, X, T, kind)[0]
-            flat_p[i] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            a = flat_g[i]
-            worst = max(worst, abs(a - fd) / max(1e-8, abs(a) + abs(fd)))
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + eps
+        hi = loss_and_grad(probe, X, T, kind)[0]
+        theta[i] = orig - eps
+        lo = loss_and_grad(probe, X, T, kind)[0]
+        theta[i] = orig
+        fd = (hi - lo) / (2.0 * eps)
+        a = grads.theta[i]
+        worst = max(worst, abs(a - fd) / max(1e-8, abs(a) + abs(fd)))
     return worst
 
 
@@ -466,7 +514,8 @@ def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
 #
 # Flat binary container: 16-byte header (magic "DDLABMLP", version u32 LE,
 # hidden units u32 LE), then d_in u32 LE, output count u32 LE, then the
-# parameter blocks W1, b1, W2, b2 as little-endian float64 row-major.
+# parameter blocks W1, b1, W2, b2 as little-endian float64 row-major, which
+# is exactly the model's theta vector.
 
 
 def save_mlp(model: MlpModel, path) -> None:
@@ -474,8 +523,7 @@ def save_mlp(model: MlpModel, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<2I", CHECKPOINT_VERSION, model.hidden_units))
         fh.write(struct.pack("<2I", model.d_in, model.n_out))
-        for block in model.arrays():
-            fh.write(block.astype("<f8").tobytes())
+        fh.write(model.theta.astype("<f8").tobytes())
 
 
 def load_mlp(path) -> MlpModel:
@@ -487,15 +535,10 @@ def load_mlp(path) -> MlpModel:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     d_in, c = struct.unpack("<2I", data[16:24])
-    sizes = (h * d_in, h, c * h, c)
-    shapes = ((h, d_in), (h,), (c, h), (c,))
-    need = 24 + 8 * sum(sizes)
+    count = mlp_param_count(d_in, h, c)
+    need = 24 + 8 * count
     if len(data) != need:
         raise ValueError(f"{path}: expected {need} bytes, found {len(data)}")
-    blocks = []
-    offset = 24
-    for size, shape in zip(sizes, shapes):
-        arr = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-        blocks.append(arr.reshape(shape).astype(np.float64))
-        offset += 8 * size
-    return MlpModel(*blocks)
+    theta = np.frombuffer(data, dtype="<f8", count=count, offset=24)
+    return MlpModel._from_theta(theta.astype(np.float64),
+                                [(h, d_in), (h,), (c, h), (c,)])

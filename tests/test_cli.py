@@ -40,6 +40,19 @@ def tiny_linreg_config():
     }
 
 
+def tiny_biasvar_config():
+    return {
+        "experiment": "biasvar", "experiment_id": "bv",
+        "variants": ["standard"], "seeds": [1],
+        "data": {"kind": "mixture", "n": 60, "d": 4, "classes": 3,
+                 "separation": 4.0, "test_n": 20},
+        "widths": [2],
+        "splits": {"k": 2, "split_size": 30},
+        "train": {"loss": "ce", "epochs": 2, "batch_size": 16,
+                  "optimizer": {"kind": "adam", "lr": 0.003}},
+    }
+
+
 class TestSweepCommands:
     def test_linreg_sweep_runs_and_echoes_config(self, tmp_path):
         cfg = write_config(tmp_path, tiny_linreg_config())
@@ -123,21 +136,24 @@ class TestSweepCommands:
         assert "failed" in csv
 
     def test_biasvar_subcommand(self, tmp_path):
-        raw = {
-            "experiment": "biasvar", "experiment_id": "bv",
-            "variants": ["standard"], "seeds": [1],
-            "data": {"kind": "mixture", "n": 60, "d": 4, "classes": 3,
-                     "separation": 4.0, "test_n": 20},
-            "widths": [2],
-            "splits": {"k": 2, "split_size": 30},
-            "train": {"loss": "ce", "epochs": 2, "batch_size": 16,
-                      "optimizer": {"kind": "adam", "lr": 0.003}},
-        }
-        cfg = write_config(tmp_path, raw)
+        cfg = write_config(tmp_path, tiny_biasvar_config())
         proc = run_cli(["biasvar", "-c", str(cfg), "-o",
                         str(tmp_path / "out")])
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "bv_biasvar.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        "seeds=[1,2]", 'variants=["concat"]', 'variants=["standard","concat"]'])
+    def test_biasvar_extra_seeds_or_variants_exit_code_2(self, tmp_path,
+                                                          override):
+        cfg = write_config(tmp_path, tiny_biasvar_config())
+        proc = run_cli(["biasvar", "-c", str(cfg), "--set", override,
+                        "-o", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_bundled_preset_by_name(self, tmp_path):
         # fig1 preset resolves from package data; shrink it so it runs fast

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
                    TrainConfig, TrainingDivergedError, build_concat_test,
@@ -18,6 +22,174 @@ def random_model(rng, d_in=4, h=5, c=3, bias_scale=0.3):
     model.b1[:] = bias_scale * rng.standard_normal(h)
     model.b2[:] = bias_scale * rng.standard_normal(c)
     return model
+
+
+def random_targets(rng, rows, c, kind):
+    if kind == LOSS_MSE:
+        return rng.standard_normal((rows, c))
+    if kind == LOSS_CE:
+        raw = rng.random((rows, c)) + 1e-3
+        return raw / raw.sum(axis=1, keepdims=True)
+    return (rng.random((rows, c)) < 0.5).astype(float)
+
+
+# -- per-array reference ---------------------------------------------------
+#
+# The forward/backward pass and the optimizer update as they were written
+# before parameters moved into one flat vector: four separate arrays, four
+# separately allocated gradients, one update loop iteration per array.  The
+# flat implementation must reproduce them bit for bit.
+
+
+def reference_loss_and_grad(params, X, T, kind):
+    W1, b1, W2, b2 = params
+    batch = X.shape[0]
+    Z1 = X @ W1.T + b1
+    H = np.maximum(Z1, 0.0)
+    Z2 = H @ W2.T + b2
+    if kind == LOSS_MSE:
+        diff = Z2 - T
+        loss = 0.5 * float(np.sum(diff * diff)) / batch
+        dZ2 = diff / batch
+    elif kind == LOSS_CE:
+        shifted = Z2 - Z2.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = -float(np.sum(T * logp)) / batch
+        row_mass = T.sum(axis=1, keepdims=True)
+        dZ2 = (np.exp(logp) * row_mass - T) / batch
+    else:
+        per = np.maximum(Z2, 0.0) - Z2 * T + np.log1p(np.exp(-np.abs(Z2)))
+        loss = float(np.sum(per)) / batch
+        sig = 1.0 / (1.0 + np.exp(-Z2))
+        dZ2 = (sig - T) / batch
+    gW2 = dZ2.T @ H
+    gb2 = dZ2.sum(axis=0)
+    dH = dZ2 @ W2
+    dZ1 = dH * (Z1 > 0.0)
+    gW1 = dZ1.T @ X
+    gb1 = dZ1.sum(axis=0)
+    return loss, [gW1, gb1, gW2, gb2]
+
+
+def reference_opt_step(params, gs, slot_a, slot_b, cfg, lr, t):
+    if cfg.weight_decay:
+        for p in params:
+            p *= 1.0 - lr * cfg.weight_decay
+    if cfg.kind == "sgd":
+        for p, g in zip(params, gs):
+            p -= lr * g
+    elif cfg.kind == "momentum":
+        for p, g, v in zip(params, gs, slot_a):
+            v *= cfg.momentum
+            v += g
+            p -= lr * v
+    else:
+        c1 = 1.0 - cfg.beta1 ** t
+        c2 = 1.0 - cfg.beta2 ** t
+        for p, g, m, v in zip(params, gs, slot_a, slot_b):
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(opt=st.sampled_from(["sgd", "momentum", "adam"]),
+       weight_decay=st.sampled_from([0.0, 0.1]),
+       lr=st.sampled_from([0.001, 0.3]),
+       loss_kind=st.sampled_from([LOSS_MSE, LOSS_CE, LOSS_BCE]),
+       d=st.integers(1, 5), h=st.integers(1, 6), c=st.integers(1, 4),
+       batch=st.integers(1, 9), steps=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_flat_training_step_matches_per_array_reference(
+        opt, weight_decay, lr, loss_kind, d, h, c, batch, steps, seed):
+    rng = Rng(seed)
+    model = random_model(rng, d_in=d, h=h, c=c)
+    params = [a.copy() for a in model.arrays()]
+    slot_a = [np.zeros_like(a) for a in params]
+    slot_b = [np.zeros_like(a) for a in params]
+    cfg = OptimizerConfig(opt, lr=lr, weight_decay=weight_decay)
+    state = make_optim_state(cfg, model)
+    for t in range(1, steps + 1):
+        X = rng.standard_normal((batch, d))
+        T = random_targets(rng, batch, c, loss_kind)
+        loss, grads = loss_and_grad(model, X, T, loss_kind)
+        ref_loss, ref_grads = reference_loss_and_grad(params, X, T, loss_kind)
+        assert loss == ref_loss
+        for got, want in zip(grads.arrays(), ref_grads):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        opt_step(model, grads, state)
+        reference_opt_step(params, ref_grads, slot_a, slot_b, cfg, lr, t)
+        for got, want in zip(model.arrays(), params):
+            assert np.array_equal(got, want)
+        for slot, ref in ((state.slot_a, slot_a), (state.slot_b, slot_b)):
+            if slot is not None:
+                for got, want in zip(slot.arrays(), ref):
+                    assert np.array_equal(got, want)
+
+
+class TestParameterStorage:
+    def test_constructor_copies_inputs(self):
+        blocks = [np.ones((3, 2)), np.zeros(3), np.ones((2, 3)), np.zeros(2)]
+        model = MlpModel(*blocks)
+        for block in blocks:
+            block += 7.0
+        assert (model.W1 == 1.0).all() and (model.b2 == 0.0).all()
+        assert not any(np.shares_memory(model.theta, b) for b in blocks)
+
+    def test_copy_shares_no_memory(self):
+        model = random_model(Rng(40))
+        twin = model.copy()
+        assert not np.shares_memory(model.theta, twin.theta)
+        for a, b in zip(model.arrays(), twin.arrays()):
+            assert not np.shares_memory(a, b)
+            np.testing.assert_array_equal(a, b)
+        twin.W1[0, 0] += 1.0
+        assert twin.W1[0, 0] != model.W1[0, 0]
+
+    def test_fields_are_views_of_theta_in_checkpoint_order(self):
+        model = random_model(Rng(41), d_in=4, h=5, c=3)
+        assert model.theta.shape == (model.param_count,)
+        np.testing.assert_array_equal(
+            model.theta, np.concatenate([a.ravel() for a in model.arrays()]))
+        for a in model.arrays():
+            assert np.shares_memory(a, model.theta)
+        model.theta[:] = np.arange(model.param_count)
+        assert model.W1[0, 1] == 1.0
+        assert model.b1[0] == 20.0  # after the 5 x 4 W1 block
+        assert model.b2[-1] == model.param_count - 1
+
+    def test_grads_share_the_layout(self):
+        rng = Rng(42)
+        model = random_model(rng)
+        _, grads = loss_and_grad(model, rng.standard_normal((3, 4)),
+                                 one_hot([0, 1, 2], 3), LOSS_CE)
+        assert [g.shape for g in grads.arrays()] == \
+            [p.shape for p in model.arrays()]
+        for g in grads.arrays():
+            assert np.shares_memory(g, grads.theta)
+        assert not np.shares_memory(grads.theta, model.theta)
+
+    def test_fields_cannot_be_rebound(self):
+        model = random_model(Rng(43))
+        with pytest.raises(AttributeError):
+            model.W1 = np.zeros((5, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 8), h=st.integers(1, 8), c=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_property(d, h, c, seed):
+    model = random_model(Rng(seed), d_in=d, h=h, c=c)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_mlp(model, path)
+        back = load_mlp(path)
+    for a, b in zip(model.arrays(), back.arrays()):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    np.testing.assert_array_equal(back.theta, model.theta)
+    back.theta[0] += 1.0  # a loaded model owns writable storage
 
 
 class TestInit:
@@ -142,13 +314,7 @@ class TestGradients:
             X = rng.standard_normal((3, 4))
             if np.min(np.abs(X @ model.W1.T + model.b1)) < 1e-6:
                 continue
-            if kind == LOSS_MSE:
-                T = rng.standard_normal((3, 3))
-            elif kind == LOSS_CE:
-                raw = rng.random((3, 3)) + 1e-3
-                T = raw / raw.sum(axis=1, keepdims=True)
-            else:
-                T = (rng.random((3, 3)) < 0.5).astype(float)
+            T = random_targets(rng, 3, 3, kind)
             assert grad_check(model, X, T, kind) < 1e-4
             checked += 1
 

@@ -19,6 +19,61 @@ LINREG_BOTH_VARIANTS = {
 LINREG_BOTH_VARIANTS_SHA256 = (
     "c72a78d9aee3cf1259ba998672b826b1610cd83241128ff817b6fd6055a148c3")
 
+# Tiny configs of the training kinds, together covering every optimizer
+# branch (adam, momentum with weight decay, sgd) and every output file.
+# Each maps output file name -> SHA-256 of its bytes.
+_TINY_MIXTURE = {"kind": "mixture", "n": 60, "d": 5, "classes": 3,
+                 "separation": 4.0, "test_n": 30, "noise_fraction": 0.1}
+TRAINING_GOLDEN = {
+    "mlp-width-ce-adam": ({
+        "experiment": "mlp-width", "experiment_id": "ce_adam",
+        "variants": ["standard", "concat"], "seeds": [0],
+        "data": _TINY_MIXTURE, "widths": [2, 4],
+        "train": {"loss": "ce", "epochs": 3, "batch_size": 16,
+                  "optimizer": {"kind": "adam", "lr": 0.003}},
+    }, {
+        "ce_adam.csv":
+            "7eb76a71ec32d5603610f230a0cc71cfa651f04e3809f48c763dd2f84458c4e9",
+        "ce_adam_traces.csv":
+            "3f5c3b6e17f4177bcd6e54811f71dce23aa494da3ecbd42ea787ed76b33079d4",
+    }),
+    "mlp-width-bce-momentum-wd": ({
+        "experiment": "mlp-width", "experiment_id": "bce_momentum",
+        "variants": ["standard", "concat"], "seeds": [1],
+        "data": _TINY_MIXTURE, "widths": [3],
+        "train": {"loss": "bce", "epochs": 3, "batch_size": 16,
+                  "optimizer": {"kind": "momentum", "lr": 0.05,
+                                "momentum": 0.9, "weight_decay": 0.01}},
+    }, {
+        "bce_momentum.csv":
+            "a1b096471ab955d5778e36428f3406200fa24c40bb2de6b74aabf9840370791e",
+        "bce_momentum_traces.csv":
+            "28b4979b3d7adb87cd96abb15883dfc3a17b8b7f46e29a2d6b01fa2a5b061b38",
+    }),
+    "epochwise-sgd": ({
+        "experiment": "epochwise", "experiment_id": "sgd",
+        "variants": ["standard", "concat"], "seeds": [2],
+        "data": _TINY_MIXTURE, "widths": [4],
+        "train": {"loss": "ce", "epochs": 3, "batch_size": 16,
+                  "optimizer": {"kind": "sgd", "lr": 0.1}},
+    }, {
+        "sgd.csv":
+            "6aa47789cae3be9e428def632697a6e5bf2a2f9753338fbcc5cffa69a8cc5b10",
+    }),
+    "biasvar": ({
+        "experiment": "biasvar", "experiment_id": "bv",
+        "variants": ["standard"], "seeds": [3],
+        "data": {"kind": "mixture", "n": 90, "d": 4, "classes": 3,
+                 "separation": 4.0, "test_n": 30},
+        "widths": [2, 4], "splits": {"k": 3, "split_size": 30},
+        "train": {"loss": "ce", "epochs": 2, "batch_size": 16,
+                  "optimizer": {"kind": "adam", "lr": 0.003}},
+    }, {
+        "bv_biasvar.csv":
+            "67eabe98e4a5b7cf0211d853c2c2e5f63825d9a36d432b36170079860c45c23e",
+    }),
+}
+
 
 def mixture_config(**overrides):
     raw = {
@@ -85,6 +140,17 @@ class TestConfigParsing:
                                   **{key: value})
         with pytest.raises(ConfigError, match=f"{key} must be a"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("key,value", [
+        ("seeds", [0, 1]), ("variants", ["concat"]),
+        ("variants", ["standard", "concat"]),
+        ("variants", ["standard", "standard"])])
+    def test_biasvar_needs_one_seed_and_standard_variant(self, key, value):
+        # run_biasvar trains one ensemble on standard inputs; anything else
+        # would silently run a different experiment than the one asked for
+        raw = dict(TRAINING_GOLDEN["biasvar"][0], **{key: value})
+        with pytest.raises(ConfigError, match="biasvar"):
+            parse_config(raw)
 
     def test_missing_idx_file_is_config_error(self):
         raw = mixture_config()
@@ -223,18 +289,18 @@ class TestOutputs:
         digest = hashlib.sha256((tmp_path / "lin.csv").read_bytes())
         assert digest.hexdigest() == LINREG_BOTH_VARIANTS_SHA256
 
+    @pytest.mark.parametrize("name", sorted(TRAINING_GOLDEN))
+    def test_training_csv_golden_digest(self, tmp_path, name):
+        # Pinned before parameters moved into one flat vector; a change that
+        # alters these bytes on purpose re-pins them and says why.
+        raw, digests = TRAINING_GOLDEN[name]
+        run_config(parse_config(raw), tmp_path)
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.glob("*.csv")}
+        assert written == digests
+
     def test_biasvar_report_file(self, tmp_path):
-        raw = {
-            "experiment": "biasvar", "experiment_id": "bv",
-            "variants": ["standard"], "seeds": [3],
-            "data": {"kind": "mixture", "n": 90, "d": 4, "classes": 3,
-                     "separation": 4.0, "test_n": 30},
-            "widths": [2, 4],
-            "splits": {"k": 3, "split_size": 30},
-            "train": {"loss": "ce", "epochs": 2, "batch_size": 16,
-                      "optimizer": {"kind": "adam", "lr": 0.003}},
-        }
-        cfg = parse_config(raw)
+        cfg = parse_config(TRAINING_GOLDEN["biasvar"][0])
         run_config(cfg, tmp_path)
         lines = (tmp_path / "bv_biasvar.csv").read_text().splitlines()
         assert lines[0].startswith("config_id,width,k,")
