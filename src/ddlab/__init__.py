@@ -6,8 +6,8 @@ all deterministic under explicit seeds."""
 __version__ = "0.1.0"
 
 from .augment import (ConcatView, MemoryBudgetError, PairBatch,
-                      build_concat_test, build_concat_train_view, concat_pair,
-                      materialize, sample_pairs)
+                      build_concat_test, concat_pair, materialize,
+                      sample_pairs)
 from .biasvar import (BiasVarianceReport, BiasVarianceRow, ProbDist,
                       decompose_point, estimate_bias_variance, kl,
                       log_geometric_mean)

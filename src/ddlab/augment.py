@@ -118,10 +118,6 @@ class ConcatView:
         return self.batch(flat_idx // self.base.n, flat_idx % self.base.n)
 
 
-def build_concat_train_view(base, mode: str = MODE_AVERAGED) -> ConcatView:
-    return ConcatView(base, mode)
-
-
 def build_concat_test(base):
     """Self-concatenated evaluation set: row i is ([x_i || x_i], y_i)."""
     if base.n < 1:

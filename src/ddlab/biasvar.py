@@ -17,7 +17,7 @@ normalization and perturbs row sums by at most c * 1e-300.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,9 +168,9 @@ class BiasVarianceReport:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
@@ -185,11 +185,13 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
     test-set means reported, together with the subtraction-form bias
     (risk - variance) and the identity residual |risk - bias - variance|.
 
-    ``train_fn(width, split, seed) -> MlpModel`` may be injected; the
-    default trains the one-hidden-layer network with ``train_config``.
+    ``train_fn(width, splits, seeds) -> list[MlpModel]`` returns one fitted
+    model per split and may be injected.  The default trains the k
+    one-hidden-layer networks of a width as one stack, in a single
+    ``nnet.train`` call with ``train_config``; split j's model is
+    bit-identical to one trained on its own.  The k test-set softmaxes of
+    a width come from one stacked forward pass.
     """
-    from dataclasses import replace
-
     from . import nnet  # local import: biasvar stays import-light
 
     if not test_set.is_one_hot:
@@ -198,22 +200,25 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
         if train_config.loss != nnet.LOSS_CE:
             raise ValueError("categorical predictions require the ce loss")
 
-        def train_fn(width, split, seed):
-            cfg = replace(train_config, seed=seed)
-            rng = Rng(mix_seed(seed, 1))
-            model = nnet.init_mlp(split.dim, width, split.class_count, rng)
-            fitted, _ = nnet.train(model, split, cfg)
+        def train_fn(width, splits, seeds):
+            models = [nnet.init_mlp(split.dim, width, split.class_count,
+                                    Rng(mix_seed(seed, 1)))
+                      for split, seed in zip(splits, seeds)]
+            configs = [replace(train_config, seed=seed) for seed in seeds]
+            fitted, _ = nnet.train(models, splits, configs)
             return fitted
 
     splits = split_k(train_set, k, split_size, Rng(mix_seed(base_seed, 0)))
+    seeds = [mix_seed(base_seed, j + 1) for j in range(k)]
     rows = []
     for width in widths:
-        preds = []
-        for j, split in enumerate(splits):
-            model = train_fn(width, split, mix_seed(base_seed, j + 1))
-            preds.append(_softmax_rows(nnet.forward(model, test_set.features)))
-        stack = np.stack(preds)
-        risk, bias, variance = decompose_batch(test_set.targets, stack)
+        models = train_fn(width, splits, seeds)
+        if len(models) != k:
+            raise ValueError(f"train_fn returned {len(models)} models "
+                             f"for {k} splits")
+        logits = nnet.forward(nnet.MlpModel.stack(models), test_set.features)
+        risk, bias, variance = decompose_batch(test_set.targets,
+                                               _softmax_rows(logits))
         mean_risk = float(risk.mean())
         mean_bias = float(bias.mean())
         mean_var = float(variance.mean())

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .idx import load_idx, write_idx  # noqa: F401  (re-exported module surface)
 from .rng import Rng
 
 MODE_AVERAGED = "averaged"

@@ -19,6 +19,19 @@ b2 (c).  ``MlpModel.W1`` .. ``b2`` are reshaped views into it, and
 ``MlpGrads`` and the optimizer slots use the same layout, so ``copy()`` is
 one copy and an optimizer step is a handful of whole-vector ufunc calls
 instead of a loop over four arrays.
+
+A model may also be a stack of S models of one shape: ``theta`` then has
+shape (S, P), the fields are views of shape (S, h, d_in), (S, h), (S, c, h)
+and (S, c), and ``MlpModel.stack``/``unstack`` convert between a list of
+models and a stack.  ``forward``, ``loss_and_grad``, ``opt_step`` and
+``classify_error`` take either form: inputs of shape (S, B, d_in) pair
+slice s with model s, and 2-D inputs are shared by every slice.  For a
+stack, losses and errors are (S,) arrays.  Each slice is computed by the
+same numpy and BLAS calls, on operands of the same shape and layout, as
+one model on its own, so a stack reproduces S separate models bit for bit
+wherever ``matmul`` and the reductions give per-slice identical results,
+which the tests check.  ``train`` runs a stack in one loop when given
+sequences of models, datasets and configs.
 """
 
 from __future__ import annotations
@@ -26,12 +39,13 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .augment import ConcatView, sample_pairs
-from .datagen import MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset
+from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
+                      RegressionDataset)
 from .rng import Rng
 
 LOSS_MSE = "mse"
@@ -53,7 +67,8 @@ class _ParamVector:
     """W1, b1, W2, b2 stored as reshaped views into one float64 ``theta``.
 
     The constructor copies its inputs; each block keeps the shape it was
-    given, so a block of the wrong shape is caught where it is used.
+    given, so a block of the wrong shape is caught where it is used.  A
+    stack has a (S, P) ``theta`` and every view a leading S axis.
     """
 
     __slots__ = ("theta", "_views")
@@ -70,11 +85,29 @@ class _ParamVector:
         obj._bind(theta, shapes)
         return obj
 
+    @classmethod
+    def stack(cls, items):
+        """One stack holding copies of equally shaped single vectors."""
+        items = list(items)
+        if not items:
+            raise ValueError("cannot stack an empty sequence")
+        shapes = items[0].shapes
+        if any(m.theta.ndim != 1 or m.shapes != shapes for m in items):
+            raise ValueError("stacked models must be single and of one shape")
+        return cls._from_theta(np.stack([m.theta for m in items]), shapes)
+
+    def unstack(self):
+        """The slices of a stack, as single vectors viewing its ``theta``."""
+        if self.theta.ndim != 2:
+            raise ValueError("only a stack can be unstacked")
+        return [self._from_theta(t, self.shapes) for t in self.theta]
+
     def _bind(self, theta, shapes):
+        lead = theta.shape[:-1]
         views, offset = [], 0
         for shape in shapes:
             size = math.prod(shape)
-            views.append(theta[offset:offset + size].reshape(shape))
+            views.append(theta[..., offset:offset + size].reshape(lead + shape))
             offset += size
         self.theta = theta
         self._views = tuple(views)
@@ -86,7 +119,9 @@ class _ParamVector:
 
     @property
     def shapes(self):
-        return [a.shape for a in self._views]
+        """Block shapes of one model, without a stack's leading axis."""
+        skip = self.theta.ndim - 1
+        return [a.shape[skip:] for a in self._views]
 
     def arrays(self):
         return self._views
@@ -102,19 +137,20 @@ class MlpModel(_ParamVector):
 
     @property
     def d_in(self) -> int:
-        return self.W1.shape[1]
+        return self.W1.shape[-1]
 
     @property
     def hidden_units(self) -> int:
-        return self.W1.shape[0]
+        return self.W1.shape[-2]
 
     @property
     def n_out(self) -> int:
-        return self.W2.shape[0]
+        return self.W2.shape[-2]
 
     @property
     def param_count(self) -> int:
-        return self.theta.size
+        """Parameters of one model (of each slice, for a stack)."""
+        return self.theta.shape[-1]
 
 
 class MlpGrads(_ParamVector):
@@ -140,23 +176,37 @@ def init_mlp(d_in: int, h: int, c: int, rng: Rng) -> MlpModel:
     return MlpModel(W1, np.zeros(h), W2, np.zeros(c))
 
 
+def _affine(X, W, b):
+    """X @ W.T + b, slice by slice for a stack, in one new array."""
+    out = X @ W.swapaxes(-1, -2)
+    out += b[..., None, :]
+    return out
+
+
 def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.d_in:
+    if X.shape[-1] != model.d_in:
         raise ValueError(
-            f"input width {X.shape[1]} does not match model d_in {model.d_in}")
-    hidden = np.maximum(X @ model.W1.T + model.b1, 0.0)
-    return hidden @ model.W2.T + model.b2
+            f"input width {X.shape[-1]} does not match model d_in {model.d_in}")
+    hidden = _affine(X, model.W1, model.b1)
+    np.maximum(hidden, 0.0, out=hidden)
+    return _affine(hidden, model.W2, model.b2)
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = Z - Z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _total(values: np.ndarray):
+    """Sum of each (batch, c) block: a float, or an (S,) array for a stack."""
+    total = values.sum(axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def _check_targets(T: np.ndarray, kind: str):
     if kind == LOSS_CE:
-        if not np.all(np.abs(T.sum(axis=1) - 1.0) <= 1e-6):
+        if not np.all(np.abs(T.sum(axis=-1) - 1.0) <= 1e-6):
             raise ValueError("cross-entropy targets must sum to 1 per row")
     elif kind == LOSS_BCE:
         if T.min() < 0.0 or T.max() > 1.0:
@@ -164,50 +214,54 @@ def _check_targets(T: np.ndarray, kind: str):
 
 
 def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
-    """Batch-mean loss and its gradient with respect to every parameter."""
+    """Batch-mean loss and its gradient with respect to every parameter.
+
+    For a stack the loss is an (S,) array and the gradient a stack.
+    """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     T = np.asarray(T, dtype=np.float64)
     if T.ndim == 1:
         T = T.reshape(-1, 1)
-    if X.shape[0] != T.shape[0]:
+    if X.shape[-2] != T.shape[-2]:
         raise ValueError("feature and target batch sizes differ")
-    if T.shape[1] != model.n_out:
+    if T.shape[-1] != model.n_out:
         raise ValueError(
-            f"target width {T.shape[1]} does not match model output {model.n_out}")
+            f"target width {T.shape[-1]} does not match model output {model.n_out}")
     _check_targets(T, kind)
 
-    batch = X.shape[0]
-    Z1 = X @ model.W1.T + model.b1
-    H = np.maximum(Z1, 0.0)
-    Z2 = H @ model.W2.T + model.b2
+    batch = X.shape[-2]
+    # relu in place: relu'(z) = [z > 0] = [relu(z) > 0], NaN included
+    H = _affine(X, model.W1, model.b1)
+    np.maximum(H, 0.0, out=H)
+    Z2 = _affine(H, model.W2, model.b2)
 
     if kind == LOSS_MSE:
         diff = Z2 - T
-        loss = 0.5 * float(np.sum(diff * diff)) / batch
+        loss = 0.5 * _total(diff * diff) / batch
         dZ2 = diff / batch
     elif kind == LOSS_CE:
         logp = _log_softmax(Z2)
-        loss = -float(np.sum(T * logp)) / batch
-        row_mass = T.sum(axis=1, keepdims=True)
+        loss = -_total(T * logp) / batch
+        row_mass = T.sum(axis=-1, keepdims=True)
         dZ2 = (np.exp(logp) * row_mass - T) / batch
     else:  # LOSS_BCE
         per = np.maximum(Z2, 0.0) - Z2 * T + np.log1p(np.exp(-np.abs(Z2)))
-        loss = float(np.sum(per)) / batch
+        loss = _total(per) / batch
         sig = 1.0 / (1.0 + np.exp(-Z2))
         dZ2 = (sig - T) / batch
 
-    if not np.isfinite(loss):
+    if not np.isfinite(loss).all():
         raise FloatingPointError(f"non-finite {kind} loss")
 
-    grads = MlpGrads._from_theta(np.empty(model.theta.size), model.shapes)
-    np.matmul(dZ2.T, H, out=grads.W2)
-    dZ2.sum(axis=0, out=grads.b2)
-    dH = dZ2 @ model.W2
-    dZ1 = dH * (Z1 > 0.0)
-    np.matmul(dZ1.T, X, out=grads.W1)
-    dZ1.sum(axis=0, out=grads.b1)
+    grads = MlpGrads._from_theta(np.empty(model.theta.shape), model.shapes)
+    np.matmul(dZ2.swapaxes(-1, -2), H, out=grads.W2)
+    dZ2.sum(axis=-2, out=grads.b2)
+    dZ1 = dZ2 @ model.W2
+    dZ1 *= H > 0.0
+    np.matmul(dZ1.swapaxes(-1, -2), X, out=grads.W1)
+    dZ1.sum(axis=-2, out=grads.b1)
     return loss, grads
 
 
@@ -278,8 +332,9 @@ def opt_step(model: MlpModel, grads: MlpGrads, state: OptimState):
 
     Weight decay is decoupled and applied as theta *= (1 - lr * wd) before
     the gradient step.  The update runs once over the whole parameter
-    vector; every element sees the same operations in the same order as a
-    per-array update would, so results are bit-identical to it.
+    vector, or stack of vectors; every element sees the same operations in
+    the same order as a per-array update would, so results are
+    bit-identical to it.
     """
     cfg = state.config
     for p, g in zip(model.arrays(), grads.arrays()):
@@ -324,15 +379,20 @@ def opt_step(model: MlpModel, grads: MlpGrads, state: OptimState):
 # -- evaluation ---------------------------------------------------------------
 
 
-def classify_error(model: MlpModel, ds: ClassificationDataset) -> float:
-    """Fraction of argmax misclassifications; ties go to the lowest index."""
+def classify_error(model: MlpModel, ds: ClassificationDataset):
+    """Fraction of argmax misclassifications; ties go to the lowest index.
+
+    A float for one model, an (S,) array for a stack.
+    """
     if not ds.is_one_hot:
         raise ValueError("classification error is defined on one-hot targets")
     logits = forward(model, ds.features)
-    return float(np.mean(logits.argmax(axis=1) != ds.targets.argmax(axis=1)))
+    wrong = logits.argmax(axis=-1) != ds.targets.argmax(axis=-1)
+    error = wrong.mean(axis=-1)
+    return float(error) if error.ndim == 0 else error
 
 
-def eval_loss(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str) -> float:
+def eval_loss(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
     loss, _ = loss_and_grad(model, X, T, kind)
     return loss
 
@@ -399,25 +459,71 @@ def _check_source_mode(source, kind: str):
         raise ValueError("bce loss needs multi-hot targets")
 
 
-def _epoch_batches(source, config: TrainConfig, rng: Rng):
+@dataclass(frozen=True)
+class _DatasetStack:
+    """Concrete datasets of one shape, stacked on a leading slice axis."""
+
+    features: np.ndarray  # (S, n, d)
+    targets: np.ndarray  # (S, n, c); regression targets get c = 1
+    is_one_hot: bool
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[1]
+
+
+def _stack_sources(sources, kind: str) -> _DatasetStack:
+    first = sources[0]
+    if not isinstance(first, (ClassificationDataset, RegressionDataset)):
+        raise ValueError("a stack trains on concrete datasets")
+    for source in sources:
+        if (type(source) is not type(first)
+                or source.features.shape != first.features.shape
+                or source.targets.shape != first.targets.shape):
+            raise ValueError("stacked sources must be datasets of one shape")
+        _check_source_mode(source, kind)
+    one_hot = {isinstance(s, ClassificationDataset) and s.is_one_hot
+               for s in sources}
+    if len(one_hot) != 1:
+        raise ValueError("stacked sources must be all one-hot or none")
+    return _DatasetStack(np.stack([s.features for s in sources]),
+                         np.stack([s.targets.reshape(s.n, -1) for s in sources]),
+                         one_hot.pop())
+
+
+def _epoch_batches(source, config: TrainConfig, rngs):
     """Yield (features, targets) minibatches for one epoch.
 
     Concrete datasets are shuffled by a fresh permutation and cut into
-    batch_size slices (final partial batch included).  A ConcatView epoch
-    is min(n * e_mult, n^2) pairs sampled without replacement, consumed in
+    batch_size slices (final partial batch included); a stack draws one
+    permutation per slice, each from that slice's own stream, and gathers
+    every slice's batch at once.  A ConcatView epoch is
+    min(n * e_mult, n^2) pairs sampled without replacement, consumed in
     sampled order.
     """
     bs = config.batch_size
     if isinstance(source, ConcatView):
+        (rng,) = rngs
         m = min(source.n * config.e_mult, source.pair_count)
         batch = sample_pairs(source, m, rng)
         for lo in range(0, m, bs):
             yield batch.features[lo:lo + bs], batch.targets[lo:lo + bs]
+        return
+    perms = [rng.permutation(source.n) for rng in rngs]
+    if isinstance(source, _DatasetStack):
+        lead, perm = (np.arange(len(perms))[:, None],), np.stack(perms)
     else:
-        perm = rng.permutation(source.n)
-        for lo in range(0, source.n, bs):
-            sel = perm[lo:lo + bs]
-            yield source.features[sel], source.targets[sel]
+        lead, (perm,) = (), perms
+    for lo in range(0, source.n, bs):
+        sel = (*lead, perm[..., lo:lo + bs])
+        yield source.features[sel], source.targets[sel]
+
+
+def _per_slice(value, count: int) -> list:
+    """One Python float per slice from a float or an (S,) array."""
+    if value is None:
+        return [None] * count
+    return [float(v) for v in np.reshape(value, count)]
 
 
 def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
@@ -426,13 +532,39 @@ def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
     ``eval_sets`` maps names to datasets evaluated after every epoch with
     the training loss kind (plus argmax error for one-hot sets).  Fully
     deterministic for a fixed seed.
+
+    Given equal-length sequences of models, sources and configs instead,
+    the models train as one stack and ``train`` returns a list of fitted
+    models and a list of traces.  The configs may differ only in ``seed``,
+    and the sources must be concrete datasets of one shape.  Slice s draws
+    its epoch permutations from ``Rng(configs[s].seed)``, exactly as a
+    separate call would, and its records equal that call's; ``seconds``
+    is the epoch time of the whole stack.  A non-finite loss in any slice
+    raises ``TrainingDivergedError`` for the stack.
     """
-    _check_source_mode(source, config.loss)
+    stacked = not isinstance(model, MlpModel)
+    if stacked:
+        models, sources, configs = list(model), list(source), list(config)
+        if not len(models) == len(sources) == len(configs) >= 1:
+            raise ValueError("a stack needs equally many models, sources "
+                             "and configs, at least one of each")
+        config = configs[0]
+        if any(replace(c, seed=config.seed) != config for c in configs):
+            raise ValueError("stacked configs may differ only in seed")
+        model = MlpModel.stack(models)
+        source = _stack_sources(sources, config.loss)
+        rngs = [Rng(c.seed) for c in configs]
+        train_one_hot = source.is_one_hot
+    else:
+        _check_source_mode(source, config.loss)
+        model = model.copy()
+        rngs = [Rng(config.seed)]
+        train_one_hot = (isinstance(source, ClassificationDataset)
+                         and source.is_one_hot)
     eval_sets = eval_sets or {}
-    model = model.copy()
-    rng = Rng(config.seed)
+    count = len(rngs)
     state = make_optim_state(config.optimizer, model)
-    records = []
+    records = [[] for _ in range(count)]
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         state.lr = config.optimizer.lr_at(epoch)
@@ -442,25 +574,32 @@ def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
             # overflow in a diverging run is reported via the explicit
             # non-finite loss check, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                for X, T in _epoch_batches(source, config, rng):
+                for X, T in _epoch_batches(source, config, rngs):
                     loss, grads = loss_and_grad(model, X, T, config.loss)
                     opt_step(model, grads, state)
-                    total_loss += loss * X.shape[0]
-                    total_rows += X.shape[0]
+                    total_loss += loss * X.shape[-2]
+                    total_rows += X.shape[-2]
         except FloatingPointError as exc:
             raise TrainingDivergedError(epoch) from exc
-        train_loss = total_loss / total_rows
-        train_error = None
-        if isinstance(source, ClassificationDataset) and source.is_one_hot:
-            train_error = classify_error(model, source)
+        train_loss = _per_slice(total_loss / total_rows, count)
+        train_error = _per_slice(
+            classify_error(model, source) if train_one_hot else None, count)
         losses, errors = {}, {}
         for name, ds in eval_sets.items():
-            losses[name] = eval_loss(model, ds.features, ds.targets, config.loss)
+            losses[name] = _per_slice(
+                eval_loss(model, ds.features, ds.targets, config.loss), count)
             if isinstance(ds, ClassificationDataset) and ds.is_one_hot:
-                errors[name] = classify_error(model, ds)
-        records.append(EpochRecord(epoch, train_loss, train_error, losses,
-                                   errors, time.perf_counter() - started))
-    return model, TrainTrace(records)
+                errors[name] = _per_slice(classify_error(model, ds), count)
+        seconds = time.perf_counter() - started
+        for s, slice_records in enumerate(records):
+            slice_records.append(EpochRecord(
+                epoch, train_loss[s], train_error[s],
+                {name: v[s] for name, v in losses.items()},
+                {name: v[s] for name, v in errors.items()}, seconds))
+    traces = [TrainTrace(r) for r in records]
+    if stacked:
+        return model.unstack(), traces
+    return model, traces[0]
 
 
 # -- model lifting ------------------------------------------------------------
@@ -519,6 +658,8 @@ def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
 
 
 def save_mlp(model: MlpModel, path) -> None:
+    if model.theta.ndim != 1:
+        raise ValueError("a checkpoint holds one model, not a stack")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<2I", CHECKPOINT_VERSION, model.hidden_units))

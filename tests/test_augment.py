@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ddlab import (ClassificationDataset, ConcatView, MemoryBudgetError,
-                   RegressionDataset, Rng, build_concat_test,
-                   build_concat_train_view, concat_pair,
+                   RegressionDataset, Rng, build_concat_test, concat_pair,
                    gen_mixture_classification, materialize, one_hot,
                    sample_pairs)
 from ddlab.datagen import MODE_MULTI_HOT
@@ -56,7 +55,7 @@ class TestConcatPair:
 
 class TestConcatView:
     def test_n2_enumerates_the_four_displayed_pairs(self):
-        view = build_concat_train_view(tiny_regression())
+        view = ConcatView(tiny_regression())
         assert view.pair_count == 4
         got = [view.element(i, j) for i in range(2) for j in range(2)]
         expected = [([1.0, 1.0], 10.0), ([1.0, 2.0], 15.0),

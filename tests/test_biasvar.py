@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ddlab import (ProbDist, Rng, TrainConfig, decompose_point,
                    estimate_bias_variance, gen_mixture_classification,
-                   init_mlp, kl, log_geometric_mean, one_hot)
+                   init_mlp, kl, log_geometric_mean, mix_seed, one_hot,
+                   train)
 from ddlab.biasvar import decompose_batch
 from ddlab.nnet import LOSS_CE, OptimizerConfig
 
@@ -140,7 +142,7 @@ class TestEstimator:
         report = estimate_bias_variance(
             [4], full, k=3, split_size=80, test_set=test,
             train_config=None, base_seed=0,
-            train_fn=lambda width, split, seed: frozen)
+            train_fn=lambda width, splits, seeds: [frozen] * len(splits))
         row = report.rows[0]
         assert abs(row.variance) < 1e-12
         assert row.identity_residual < 1e-10
@@ -160,13 +162,42 @@ class TestEstimator:
                                                          abs=1e-8)
             assert row.k == 3
 
+    def test_stacked_default_equals_serial_training(self):
+        # the default hook trains the k splits of a width as one stack;
+        # training each split on its own must give the same report bytes
+        full, test = self._data()
+        cfg = TrainConfig(LOSS_CE, epochs=3, batch_size=32, seed=0,
+                          optimizer=OptimizerConfig("adam", lr=0.01))
+
+        def serial(width, splits, seeds):
+            fitted = []
+            for split, seed in zip(splits, seeds):
+                model = init_mlp(split.dim, width, split.class_count,
+                                 Rng(mix_seed(seed, 1)))
+                fitted.append(train(model, split, replace(cfg, seed=seed))[0])
+            return fitted
+
+        args = ([2, 5], full, 3, 70, test, cfg, 13)
+        stacked = estimate_bias_variance(*args)
+        alone = estimate_bias_variance(*args, train_fn=serial)
+        assert stacked.csv_lines() == alone.csv_lines()
+
+    def test_train_fn_must_return_one_model_per_split(self):
+        full, test = self._data()
+        frozen = init_mlp(6, 4, 3, Rng(5))
+        with pytest.raises(ValueError, match="3 splits"):
+            estimate_bias_variance(
+                [4], full, k=3, split_size=80, test_set=test,
+                train_config=None, base_seed=0,
+                train_fn=lambda width, splits, seeds: [frozen])
+
     def test_split_violation_propagates(self):
         full, test = self._data()
         with pytest.raises(ValueError):
             estimate_bias_variance([2], full, k=5, split_size=100,
                                    test_set=test, train_config=None,
                                    base_seed=0,
-                                   train_fn=lambda w, s, seed: None)
+                                   train_fn=lambda w, splits, seeds: None)
 
     def test_csv_lines(self):
         full, test = self._data()
@@ -174,7 +205,7 @@ class TestEstimator:
         report = estimate_bias_variance(
             [4], full, k=2, split_size=80, test_set=test,
             train_config=None, base_seed=0,
-            train_fn=lambda width, split, seed: frozen)
+            train_fn=lambda width, splits, seeds: [frozen] * len(splits))
         lines = report.csv_lines()
         assert lines[0] == ("config_id,width,k,risk,bias_kl,variance,"
                             "bias_subtraction,identity_residual")

@@ -155,6 +155,26 @@ class TestSweepCommands:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,override", [
+        ("biasvar", "data.n=0"), ("biasvar", "data.test_n=0"),
+        ("biasvar", "splits.split_size=1000"),
+        ("biasvar", "train.batch_size=0"), ("biasvar", "train.epochs=-1"),
+        ("biasvar", "train.optimizer.lr=0"), ("biasvar", "widths=[true]"),
+        ("mlp-sweep", "data.test_n=0")])
+    def test_bad_network_size_exit_code_2(self, tmp_path, command, override):
+        raw = tiny_biasvar_config()
+        if command == "mlp-sweep":
+            raw["experiment"] = "mlp-width"
+            del raw["splits"]
+        cfg = write_config(tmp_path, raw)
+        proc = run_cli([command, "-c", str(cfg), "--set", override,
+                        "-o", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_preset_by_name(self, tmp_path):
         # fig1 preset resolves from package data; shrink it so it runs fast
         proc = run_cli(["linreg-sweep", "-c", "fig1.json",

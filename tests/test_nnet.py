@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
                    TrainConfig, TrainingDivergedError, build_concat_test,
                    classify_error, forward, gen_mixture_classification,
                    grad_check, init_mlp, lift_model, load_mlp, loss_and_grad,
-                   one_hot, opt_step, pinv_solve, save_mlp, train)
-from ddlab.datagen import ClassificationDataset
+                   one_hot, opt_step, pinv_solve, save_mlp, split_k, train)
+from ddlab.datagen import ClassificationDataset, RegressionDataset
 from ddlab.nnet import (LOSS_BCE, LOSS_CE, LOSS_MSE, MlpGrads, MlpModel,
                         make_optim_state)
 
@@ -127,6 +128,96 @@ def test_flat_training_step_matches_per_array_reference(
             if slot is not None:
                 for got, want in zip(slot.arrays(), ref):
                     assert np.array_equal(got, want)
+
+
+# -- stacked models --------------------------------------------------------
+#
+# A stack of S models must step exactly as S models stepped one at a time:
+# the CSV digests cannot see a last-ulp change in Adam's second moment, so
+# the optimizer slots are compared too.
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=st.integers(1, 4),
+       opt=st.sampled_from(["sgd", "momentum", "adam"]),
+       weight_decay=st.sampled_from([0.0, 0.1]),
+       loss_kind=st.sampled_from([LOSS_MSE, LOSS_CE, LOSS_BCE]),
+       d=st.integers(1, 6), h=st.integers(1, 6), c=st.integers(1, 6),
+       batch=st.integers(1, 9), steps=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_steps_match_separate_models(
+        stack, opt, weight_decay, loss_kind, d, h, c, batch, steps, seed):
+    rng = Rng(seed)
+    models = [random_model(rng, d_in=d, h=h, c=c) for _ in range(stack)]
+    stacked = MlpModel.stack(models)
+    cfg = OptimizerConfig(opt, lr=0.3, weight_decay=weight_decay)
+    states = [make_optim_state(cfg, m) for m in models]
+    stacked_state = make_optim_state(cfg, stacked)
+    for _ in range(steps):
+        X = rng.standard_normal((stack, batch, d))
+        T = np.stack([random_targets(rng, batch, c, loss_kind)
+                      for _ in range(stack)])
+        losses, grads = loss_and_grad(stacked, X, T, loss_kind)
+        assert losses.shape == (stack,)
+        for s, (model, state) in enumerate(zip(models, states)):
+            loss, single = loss_and_grad(model, X[s], T[s], loss_kind)
+            assert losses[s] == loss
+            assert np.array_equal(grads.theta[s], single.theta)
+            opt_step(model, single, state)
+        opt_step(stacked, grads, stacked_state)
+        for s, (model, state) in enumerate(zip(models, states)):
+            assert np.array_equal(stacked.theta[s], model.theta)
+            for got, want in ((stacked_state.slot_a, state.slot_a),
+                              (stacked_state.slot_b, state.slot_b)):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got.theta[s], want.theta)
+    shared = rng.standard_normal((batch, d))  # one input for every slice
+    logits = forward(stacked, shared)
+    for s, model in enumerate(models):
+        assert np.array_equal(logits[s], forward(model, shared))
+
+
+class TestStack:
+    def test_stack_copies_and_unstack_views(self):
+        rng = Rng(44)
+        models = [random_model(rng) for _ in range(3)]
+        stacked = MlpModel.stack(models)
+        assert stacked.theta.shape == (3, models[0].param_count)
+        assert stacked.W1.shape == (3, 5, 4) and stacked.b2.shape == (3, 3)
+        assert stacked.shapes == models[0].shapes
+        assert stacked.param_count == models[0].param_count
+        assert (stacked.d_in, stacked.hidden_units, stacked.n_out) == (4, 5, 3)
+        for s, model in enumerate(models):
+            assert not np.shares_memory(stacked.theta, model.theta)
+            for got, want in zip(stacked.arrays(), model.arrays()):
+                assert np.shares_memory(got, stacked.theta)
+                np.testing.assert_array_equal(got[s], want)
+        slices = stacked.unstack()
+        slices[1].W2[0, 0] = 99.0
+        assert stacked.W2[1, 0, 0] == 99.0
+        assert all(a.theta.ndim == 1 for a in slices)
+
+    def test_mixed_shapes_rejected(self):
+        rng = Rng(45)
+        with pytest.raises(ValueError):
+            MlpModel.stack([random_model(rng, h=3), random_model(rng, h=4)])
+        with pytest.raises(ValueError):
+            MlpModel.stack([])
+        with pytest.raises(ValueError):
+            random_model(rng).unstack()
+
+    def test_checkpoint_rejects_a_stack(self, tmp_path):
+        stacked = MlpModel.stack([random_model(Rng(46))] * 2)
+        with pytest.raises(ValueError):
+            save_mlp(stacked, tmp_path / "stack.bin")
+
+    def test_classify_error_per_slice(self):
+        ds = gen_mixture_classification(60, 4, 3, 4.0, Rng(47))
+        models = [init_mlp(4, 5, 3, Rng(s)) for s in range(3)]
+        errors = classify_error(MlpModel.stack(models), ds)
+        assert errors.shape == (3,)
+        assert list(errors) == [classify_error(m, ds) for m in models]
 
 
 class TestParameterStorage:
@@ -484,6 +575,90 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(init_mlp(4, 4, 1, Rng(0)), ds,
                   TrainConfig(LOSS_CE, 1, 16, seed=0))
+
+
+class TestStackedTrain:
+    def _splits(self, k=3, size=50):
+        # 50 rows at batch size 16 leave a partial last batch of 2
+        full = gen_mixture_classification(k * size, 5, 3, 3.0, Rng(60))
+        return split_k(full, k, size, Rng(61))
+
+    def _configs(self, k, **changes):
+        base = TrainConfig(LOSS_CE, 4, 16, seed=0,
+                           optimizer=OptimizerConfig("adam", lr=0.01))
+        return [replace(base, seed=100 + j, **changes) for j in range(k)]
+
+    @pytest.mark.parametrize("opt", ["sgd", "momentum", "adam"])
+    def test_one_stacked_call_equals_serial_calls(self, opt):
+        splits = self._splits()
+        test = gen_mixture_classification(30, 5, 3, 3.0, Rng(62))
+        configs = self._configs(3, optimizer=OptimizerConfig(
+            opt, lr=0.05, weight_decay=0.01))
+        models = [init_mlp(5, 7, 3, Rng(70 + j)) for j in range(3)]
+        before = [m.theta.copy() for m in models]
+        fitted, traces = train(models, splits, configs,
+                               eval_sets={"test": test})
+        assert len(fitted) == len(traces) == 3
+        for j in range(3):
+            np.testing.assert_array_equal(models[j].theta, before[j])
+            alone, trace = train(models[j], splits[j], configs[j],
+                                 eval_sets={"test": test})
+            assert np.array_equal(fitted[j].theta, alone.theta)
+            assert len(traces[j]) == len(trace) == 4
+            for got, want in zip(traces[j].records, trace.records):
+                assert got.epoch == want.epoch
+                assert got.train_loss == want.train_loss
+                assert got.train_error == want.train_error
+                assert got.eval_loss == want.eval_loss
+                assert got.eval_error == want.eval_error
+                assert type(got.train_loss) is float
+
+    def test_regression_stack_equals_serial_calls(self):
+        from ddlab import gen_linreg, sample_theta
+        theta = sample_theta(3, Rng(63))
+        splits = [gen_linreg(20, 3, 0.1, theta, Rng(64 + j)) for j in range(2)]
+        configs = self._configs(2, loss=LOSS_MSE, batch_size=6)
+        models = [init_mlp(3, 4, 1, Rng(80 + j)) for j in range(2)]
+        fitted, traces = train(models, splits, configs)
+        for j in range(2):
+            alone, trace = train(models[j], splits[j], configs[j])
+            assert np.array_equal(fitted[j].theta, alone.theta)
+            assert [r.train_loss for r in traces[j].records] == \
+                [r.train_loss for r in trace.records]
+            assert traces[j].final().train_error is None
+
+    def test_configs_may_differ_only_in_seed(self):
+        splits = self._splits(k=2)
+        configs = self._configs(2)
+        configs[1] = replace(configs[1], epochs=5)
+        models = [init_mlp(5, 4, 3, Rng(j)) for j in range(2)]
+        with pytest.raises(ValueError, match="seed"):
+            train(models, splits, configs)
+
+    def test_stack_needs_concrete_sources_of_one_shape(self):
+        splits = self._splits(k=2)
+        models = [init_mlp(5, 4, 3, Rng(j)) for j in range(2)]
+        configs = self._configs(2)
+        with pytest.raises(ValueError, match="concrete"):
+            train(models, [ConcatView(s) for s in splits], configs)
+        short = splits[1].take(np.arange(40))
+        with pytest.raises(ValueError, match="one shape"):
+            train(models, [splits[0], short], configs)
+        with pytest.raises(ValueError, match="equally many"):
+            train(models, splits[:1], configs)
+
+    def test_one_diverging_slice_fails_the_stack(self):
+        from ddlab import gen_linreg, sample_theta
+        theta = sample_theta(3, Rng(65))
+        tame = gen_linreg(20, 3, 0.1, theta, Rng(66))
+        wild = RegressionDataset(tame.features * 1e100, tame.targets)
+        models = [init_mlp(3, 4, 1, Rng(j)) for j in range(2)]
+        configs = self._configs(2, loss=LOSS_MSE, batch_size=6,
+                                optimizer=OptimizerConfig("sgd", lr=0.01))
+        train([models[0]], [tame], configs[:1])  # the tame slice alone
+        with pytest.raises(TrainingDivergedError) as info:
+            train(models, [tame, wild], configs)
+        assert info.value.epoch == 1
 
 
 class TestClassifyError:

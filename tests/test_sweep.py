@@ -152,6 +152,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="biasvar"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("path,value", [
+        ("data.n", 0), ("data.n", -5), ("data.d", 0), ("data.test_n", 0),
+        ("data.classes", 1), ("data.separation", 0.0),
+        ("data.separation", float("nan")), ("train.epochs", -1),
+        ("train.batch_size", 0), ("train.e_mult", 0),
+        ("train.optimizer.lr", 0.0), ("train.optimizer.lr", -0.1),
+        ("train.optimizer.lr", float("inf")), ("splits.k", 0),
+        ("splits.split_size", 0), ("splits.split_size", 31),
+        ("widths", [True]), ("widths", [0])])
+    def test_network_sizes_rejected(self, path, value):
+        # the tiny biasvar config has n = 90 = 3 splits x 30 rows
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        node, *keys = raw, *path.split(".")
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(ConfigError, match=path.rsplit(".", 1)[-1]):
+            parse_config(raw)
+
+    def test_zero_epochs_allowed(self):
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        raw["train"]["epochs"] = 0
+        assert parse_config(raw).train.epochs == 0
+
     def test_missing_idx_file_is_config_error(self):
         raw = mixture_config()
         raw["data"] = {"kind": "idx", "images": "no/such/file",
