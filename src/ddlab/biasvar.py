@@ -190,7 +190,7 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
     one-hidden-layer networks of a width as one stack, in a single
     ``nnet.train`` call with ``train_config``; split j's model is
     bit-identical to one trained on its own.  The k test-set softmaxes of
-    a width come from one stacked forward pass.
+    a width come from k single-model forward passes.
     """
     from . import nnet  # local import: biasvar stays import-light
 
@@ -216,7 +216,10 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
         if len(models) != k:
             raise ValueError(f"train_fn returned {len(models)} models "
                              f"for {k} splits")
-        logits = nnet.forward(nnet.MlpModel.stack(models), test_set.features)
+        # one forward per model, not one over the stack: the stack's
+        # (k, rows, width) hidden array would raise the peak for no speed
+        logits = np.stack([nnet.forward(model, test_set.features)
+                           for model in models])
         risk, bias, variance = decompose_batch(test_set.targets,
                                                _softmax_rows(logits))
         mean_risk = float(risk.mean())

@@ -74,15 +74,19 @@ def design_rank(X: np.ndarray) -> int:
 
 
 def _fit_variant(train, test, variant, d):
-    """Fit one variant on a cell's base draws: (train MSE, test MSE, params)."""
-    if variant == VARIANT_CONCAT:
-        train = materialize(ConcatView(train), SWEEP_MATERIALIZE_BUDGET)
-        test = build_concat_test(test)
-        params = 2 * d
-    else:
-        params = d
-    model = pinv_solve(train.features, train.targets)
-    return mse(model, train), mse(model, test), params
+    """Fit one variant on a cell's base draws: (train MSE, test MSE, params).
+
+    The concat variant builds its [x || x] test set only after the n^2 x 2d
+    pair design is released, so the two are never alive at once.
+    """
+    if variant != VARIANT_CONCAT:
+        model = pinv_solve(train.features, train.targets)
+        return mse(model, train), mse(model, test), d
+    pairs = materialize(ConcatView(train), SWEEP_MATERIALIZE_BUDGET)
+    model = pinv_solve(pairs.features, pairs.targets)
+    train_mse = mse(model, pairs)
+    del pairs
+    return train_mse, mse(model, build_concat_test(test)), 2 * d
 
 
 def _sweep_cell(d, sigma, n, n_test, seed, variants):

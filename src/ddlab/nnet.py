@@ -258,8 +258,11 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
     grads = MlpGrads._from_theta(np.empty(model.theta.shape), model.shapes)
     np.matmul(dZ2.swapaxes(-1, -2), H, out=grads.W2)
     dZ2.sum(axis=-2, out=grads.b2)
-    dZ1 = dZ2 @ model.W2
-    dZ1 *= H > 0.0
+    # H is dead once gW2 and the relu mask exist: dZ1 reuses its buffer,
+    # so the backward pass holds one (batch, h) float array, not two
+    active = H > 0.0
+    dZ1 = np.matmul(dZ2, model.W2, out=H)
+    dZ1 *= active
     np.matmul(dZ1.swapaxes(-1, -2), X, out=grads.W1)
     dZ1.sum(axis=-2, out=grads.b1)
     return loss, grads
@@ -268,19 +271,30 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
 # -- optimizers --------------------------------------------------------------
 
 
+OPTIMIZER_KINDS = ("sgd", "momentum", "adam")
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    """Range check of one config field; the message starts with its name."""
+    if not ok:
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     factor: float
     every_k_epochs: int
 
     def __post_init__(self):
-        if self.every_k_epochs < 1:
-            raise ValueError("every_k_epochs must be >= 1")
+        _require(math.isfinite(self.factor) and self.factor > 0, "factor",
+                 "a finite number > 0", self.factor)
+        _require(self.every_k_epochs >= 1, "every_k_epochs", ">= 1",
+                 self.every_k_epochs)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "sgd"  # sgd | momentum | adam
+    kind: str = "sgd"  # one of OPTIMIZER_KINDS
     lr: float = 0.1
     momentum: float = 0.9
     beta1: float = 0.9
@@ -290,10 +304,16 @@ class OptimizerConfig:
     schedule: ScheduleConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "momentum", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        _require(self.kind in OPTIMIZER_KINDS, "kind",
+                 f"one of {', '.join(OPTIMIZER_KINDS)}", self.kind)
+        _require(math.isfinite(self.lr) and self.lr > 0, "lr",
+                 "a finite number > 0", self.lr)
+        for key in ("momentum", "beta1", "beta2"):
+            value = getattr(self, key)
+            _require(0.0 <= value < 1.0, key, "in [0, 1)", value)
+        _require(self.eps > 0, "eps", "> 0", self.eps)
+        _require(math.isfinite(self.weight_decay) and self.weight_decay >= 0,
+                 "weight_decay", "a finite number >= 0", self.weight_decay)
 
     def lr_at(self, epoch: int) -> float:
         """Step decay: lr * factor^floor((epoch - 1) / every_k), epoch >= 1."""
@@ -410,10 +430,11 @@ class TrainConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss!r}")
-        if self.epochs < 0 or self.batch_size < 1 or self.e_mult < 1:
-            raise ValueError("bad epoch, batch size, or e_mult value")
+        _require(self.loss in LOSS_KINDS, "loss",
+                 f"one of {', '.join(LOSS_KINDS)}", self.loss)
+        _require(self.epochs >= 0, "epochs", ">= 0", self.epochs)
+        _require(self.batch_size >= 1, "batch_size", ">= 1", self.batch_size)
+        _require(self.e_mult >= 1, "e_mult", ">= 1", self.e_mult)
 
 
 @dataclass

@@ -36,8 +36,8 @@ from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
 from .idx import load_idx
 from .linreg import (VARIANT_CONCAT, VARIANT_STANDARD, VARIANTS,
                      linreg_sample_sweep)
-from .nnet import (LOSS_BCE, LOSS_CE, OptimizerConfig, ScheduleConfig,
-                   TrainConfig, TrainingDivergedError, init_mlp, train)
+from .nnet import (LOSS_BCE, LOSS_CE, OptimizerConfig, TrainConfig,
+                   TrainingDivergedError, init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint
 from .rng import Rng, mix_seed
 
@@ -75,20 +75,12 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class OptimizerSection:
+class OptimizerSection(OptimizerConfig):
+    """``nnet.OptimizerConfig`` with the config file's defaults: Adam at
+    lr 1e-3.  Its range checks run when the section is parsed."""
+
     kind: str = "adam"
     lr: float = 0.001
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    schedule: ScheduleConfig | None = None
-
-    def to_optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(self.kind, self.lr, self.momentum, self.beta1,
-                               self.beta2, self.eps, self.weight_decay,
-                               self.schedule)
 
 
 @dataclass(frozen=True)
@@ -98,6 +90,14 @@ class TrainSection:
     batch_size: int = 32
     e_mult: int = 1
     optimizer: OptimizerSection = field(default_factory=OptimizerSection)
+
+    def __post_init__(self):
+        self.to_config(seed=0)  # nnet's TrainConfig holds the range checks
+
+    def to_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(loss=self.loss, epochs=self.epochs,
+                           batch_size=self.batch_size, seed=seed,
+                           e_mult=self.e_mult, optimizer=self.optimizer)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,11 @@ def _parse_dataclass(cls, data: dict, prefix: str = ""):
     if missing:
         raise ConfigError(f"missing required key '{missing[0]}'"
                           + (f" in '{prefix}'" if prefix else ""))
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # a section's own range check; its message starts with the key name
+        raise ConfigError(f"{prefix}.{exc}") from None
 
 
 def parse_config(raw: dict) -> SweepConfig:
@@ -265,9 +269,12 @@ def validate_config(cfg: SweepConfig) -> None:
         value = getattr(data, name)
         if value is not None and not _positive_int(value):
             raise ConfigError(f"data.{name} must be a positive integer")
+    if data.kind == "mixture" and data.classes > data.n + data.test_n:
+        raise ConfigError(
+            f"data.classes = {data.classes} exceeds data.n + data.test_n = "
+            f"{data.n + data.test_n}: every class needs a row")
     if not 0.0 <= data.noise_fraction <= 1.0:
         raise ConfigError("noise_fraction must be in [0, 1]")
-    _validate_train_section(cfg.train)
     if cfg.experiment == "biasvar":
         if cfg.splits is None:
             raise ConfigError("biasvar needs a splits section")
@@ -287,18 +294,6 @@ def validate_config(cfg: SweepConfig) -> None:
                               "ensemble: seeds must hold exactly one seed")
         if cfg.train.loss != LOSS_CE:
             raise ConfigError("biasvar needs the ce loss (categorical outputs)")
-
-
-def _validate_train_section(train: TrainSection) -> None:
-    if not _int_at_least(train.epochs, 0):
-        raise ConfigError("train.epochs must be an integer >= 0")
-    if not _positive_int(train.batch_size):
-        raise ConfigError("train.batch_size must be a positive integer")
-    if not _positive_int(train.e_mult):
-        raise ConfigError("train.e_mult must be a positive integer")
-    lr = train.optimizer.lr
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError("train.optimizer.lr must be a finite number > 0")
 
 
 # -- dataset assembly -----------------------------------------------------------
@@ -369,12 +364,7 @@ class SweepResult:
 
 
 def _train_config(cfg: SweepConfig, seed: int) -> TrainConfig:
-    section = cfg.train
-    return TrainConfig(loss=section.loss, epochs=section.epochs,
-                       batch_size=section.batch_size,
-                       seed=mix_seed(seed, STREAM_TRAIN),
-                       e_mult=section.e_mult,
-                       optimizer=section.optimizer.to_optimizer())
+    return cfg.train.to_config(mix_seed(seed, STREAM_TRAIN))
 
 
 def _run_nn_cell(cfg: SweepConfig, variant: str, width: int, seed: int,
@@ -482,7 +472,7 @@ def run_linreg_sweep(cfg: SweepConfig) -> SweepResult:
     run serially whatever ``threads`` says: two concurrent concat cells near
     n=100 each hold an n^2 x 2d = 10^4 x 60 design plus its SVD workspace.
     On the ``fig1`` grid with three seeds, a 2-thread pool of these cells
-    peaked at 96 MiB RSS against 69 MiB serial.
+    peaked at 88 MiB RSS against 64 MiB serial.
     """
     points = linreg_sample_sweep(
         cfg.d, cfg.sigma, cfg.n_grid, cfg.seeds, cfg.n_test,

@@ -160,7 +160,18 @@ class TestSweepCommands:
         ("biasvar", "splits.split_size=1000"),
         ("biasvar", "train.batch_size=0"), ("biasvar", "train.epochs=-1"),
         ("biasvar", "train.optimizer.lr=0"), ("biasvar", "widths=[true]"),
-        ("mlp-sweep", "data.test_n=0")])
+        ("mlp-sweep", "data.test_n=0"),
+        ("biasvar", 'train.optimizer.kind="rmsprop"'),
+        ("biasvar",
+         'train.optimizer.schedule={"factor":0.1,"every_k_epochs":0}'),
+        ("biasvar", "data.classes=100"),  # n + test_n = 80 rows
+        ("biasvar", "train.optimizer.beta2=1"),
+        ("biasvar", "train.optimizer.weight_decay=-5"),
+        ("biasvar", "train.optimizer.momentum=-1"),
+        ("biasvar", "train.optimizer.eps=0"),
+        ("biasvar", "train.optimizer.beta1=1.5"),
+        ("biasvar",
+         'train.optimizer.schedule={"factor":-1,"every_k_epochs":1}')])
     def test_bad_network_size_exit_code_2(self, tmp_path, command, override):
         raw = tiny_biasvar_config()
         if command == "mlp-sweep":

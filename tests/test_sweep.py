@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab import ConfigError, CurvePoint, parse_config, run_config, summarize
 from ddlab.records import CSV_HEADER
@@ -171,6 +173,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=path.rsplit(".", 1)[-1]):
             parse_config(raw)
 
+    @pytest.mark.parametrize("path,value,key", [
+        ("train.optimizer.kind", "rmsprop", None),
+        ("train.optimizer.beta2", 1.0, None),
+        ("train.optimizer.weight_decay", -5.0, None),
+        ("train.optimizer.schedule", {"factor": -1.0, "every_k_epochs": 1},
+         "train.optimizer.schedule.factor"),
+        ("train.optimizer.schedule", {"factor": 0.1, "every_k_epochs": 0},
+         "train.optimizer.schedule.every_k_epochs"),
+        ("train.loss", "hinge", None), ("data.classes", 121, None)])
+    def test_range_errors_name_the_dotted_key(self, path, value, key):
+        # nnet's dataclasses check their own ranges; parsing prefixes the
+        # section path to the field name their messages start with
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        node, *keys = raw, *path.split(".")
+        for part in keys[:-1]:
+            node = node[part]
+        node[keys[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value).startswith(f"{key or path} ")
+
     def test_zero_epochs_allowed(self):
         raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
         raw["train"]["epochs"] = 0
@@ -182,6 +205,110 @@ class TestConfigParsing:
                        "labels": "x", "test_images": "y", "test_labels": "z"}
         with pytest.raises(ConfigError, match="does not exist|no/such/file"):
             parse_config(raw)
+
+
+# -- config round trip ----------------------------------------------------------
+#
+# Valid configs of every experiment kind, optional keys included or left to
+# their defaults, must survive config_to_dict -> parse_config unchanged: the
+# resolved-config echo is itself a config that reproduces the run.
+
+IDX_NAMES = ("images", "labels", "test_images", "test_labels")
+
+
+@pytest.fixture(scope="module")
+def idx_paths(tmp_path_factory):
+    # validation only checks that idx files exist; parsing never reads them
+    root = tmp_path_factory.mktemp("idx")
+    for name in IDX_NAMES:
+        (root / name).touch()
+    return {name: str(root / name) for name in IDX_NAMES}
+
+
+def _finite(low, high, **kwargs):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False,
+                     **kwargs)
+
+
+def _ints(low, high=50):
+    return st.integers(low, high)
+
+
+def _optimizer_section():
+    fraction = _finite(0.0, 1.0, exclude_max=True)
+    schedule = st.fixed_dictionaries({
+        "factor": _finite(0.0, 10.0, exclude_min=True),
+        "every_k_epochs": _ints(1)})
+    return st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["sgd", "momentum", "adam"]),
+        "lr": _finite(0.0, 10.0, exclude_min=True),
+        "momentum": fraction, "beta1": fraction, "beta2": fraction,
+        "eps": _finite(0.0, 1.0, exclude_min=True),
+        "weight_decay": _finite(0.0, 1.0), "schedule": schedule})
+
+
+def _train_section(losses):
+    return st.fixed_dictionaries({"loss": st.sampled_from(losses)}, optional={
+        "epochs": _ints(0), "batch_size": _ints(1), "e_mult": _ints(1),
+        "optimizer": _optimizer_section()})
+
+
+@st.composite
+def _data_section(draw, idx_paths, min_n=1):
+    if draw(st.booleans()):
+        data = dict(idx_paths, kind="idx")
+        for name in ("n", "test_n"):
+            if draw(st.booleans()):
+                data[name] = draw(_ints(max(min_n, 1), 500))
+    else:
+        n, test_n = draw(_ints(min_n, 500)), draw(_ints(1))
+        data = {"kind": "mixture", "n": n, "test_n": test_n, "d": draw(_ints(1)),
+                "classes": draw(_ints(2, n + test_n)),
+                "separation": draw(_finite(0.0, 10.0, exclude_min=True))}
+    data.update(draw(st.fixed_dictionaries({}, optional={
+        "noise_fraction": _finite(0.0, 1.0), "standardize": st.booleans()})))
+    return data
+
+
+@st.composite
+def valid_raw_configs(draw, idx_paths):
+    kind = draw(st.sampled_from(["linreg-sample", "mlp-width", "epochwise",
+                                 "biasvar"]))
+    raw = {"experiment": kind,
+           "experiment_id": draw(st.text(min_size=1, max_size=8))}
+    raw.update(draw(st.fixed_dictionaries({}, optional={
+        "threads": _ints(1, 8), "out_dir": st.text(max_size=8)})))
+    if kind == "biasvar":
+        k, split_size = draw(_ints(1, 5)), draw(_ints(1, 40))
+        raw.update(seeds=[draw(st.integers(0, 2**32))],
+                   variants=["standard"],
+                   widths=draw(st.lists(_ints(1), min_size=1, max_size=4)),
+                   splits={"k": k, "split_size": split_size},
+                   data=draw(_data_section(idx_paths, min_n=k * split_size)),
+                   train=draw(_train_section(["ce"])))
+        return raw
+    raw.update(seeds=draw(st.lists(st.integers(0, 2**32), min_size=1,
+                                   max_size=4)),
+               variants=draw(st.lists(st.sampled_from(["standard", "concat"]),
+                                      min_size=1, max_size=2)))
+    if kind == "linreg-sample":
+        raw.update(d=draw(_ints(1)), sigma=draw(_finite(0.0, 10.0)),
+                   n_grid=draw(st.lists(_ints(1), min_size=1, max_size=5)),
+                   n_test=draw(_ints(1)))
+    else:
+        raw.update(widths=draw(st.lists(_ints(1), min_size=1, max_size=4)),
+                   data=draw(_data_section(idx_paths)),
+                   train=draw(_train_section(["mse", "ce", "bce"])))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_round_trip_property(idx_paths, data):
+    cfg = parse_config(data.draw(valid_raw_configs(idx_paths)))
+    assert parse_config(config_to_dict(cfg)) == cfg
+    echo = json.dumps(config_to_dict(cfg), indent=2)
+    assert parse_config(json.loads(echo)) == cfg
 
 
 class TestSummarize:
@@ -339,6 +466,36 @@ class TestPresets:
                 "presets", f"{name}.json").read_text())
             cfg = parse_config(raw)
             assert cfg.experiment_id == name
+
+    # SHA-256 of each bundled preset's resolved-config echo, the JSON that
+    # the CLI prints before a run; recorded before the optimizer and train
+    # sections took their range checks from nnet.
+    PRESET_ECHO_SHA256 = {
+        "biasvar_mixture":
+            "1016563641e7f61cb78fdb9daea59202d147dd72f89951187d95df7c2b2c5851",
+        "desk_mixture":
+            "7d9a502b69d7c2e95575f50733e456e0c05ad25aeae583968ee386b8b45d4bca",
+        "fig1":
+            "568e8eede56a33d900f50d87eaba745ee14c856cc55d0795d529b6393e5f09cb",
+        "fig2_mnist":
+            "72c8e55c697d0f592d40850c14509c6ca3547dccff92b84690ff7a77b4c95bfe",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRESET_ECHO_SHA256))
+    def test_preset_echo_bytes_pinned(self, tmp_path, monkeypatch, name):
+        from importlib import resources
+        raw = json.loads(resources.files("ddlab").joinpath(
+            "presets", f"{name}.json").read_text())
+        if raw.get("data", {}).get("kind") == "idx":
+            # its relative idx paths must exist for validation to pass
+            monkeypatch.chdir(tmp_path)
+            for key in IDX_NAMES:
+                path = tmp_path / raw["data"][key]
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.touch()
+        echo = json.dumps(config_to_dict(parse_config(raw)), indent=2)
+        digest = hashlib.sha256(echo.encode()).hexdigest()
+        assert digest == self.PRESET_ECHO_SHA256[name]
 
     def test_fig1_preset_values(self):
         from importlib import resources
