@@ -172,9 +172,16 @@ def materialize(view: ConcatView, max_bytes: int = 1 << 30):
         raise MemoryBudgetError(
             f"materializing {n}x{n} pairs needs {need} bytes, "
             f"over the {max_bytes}-byte budget")
-    i_idx = np.repeat(np.arange(n, dtype=np.int64), n)
-    j_idx = np.tile(np.arange(n, dtype=np.int64), n)
-    batch = view.batch(i_idx, j_idx)
+    # row i*n + j is [x_i || x_j]: broadcast each half into one (n, n, 2d)
+    # array instead of gathering both halves through n^2 index arrays
+    d = base.dim
+    features = np.empty((n, n, 2 * d), dtype=base.features.dtype)
+    features[:, :, :d] = base.features[:, None, :]
+    features[:, :, d:] = base.features[None, :, :]
+    features = features.reshape(n * n, 2 * d)
+    t = base.targets
+    targets = _combine_targets(t[:, None], t[None, :], view.mode)
+    targets = targets.reshape(n * n, *t.shape[1:])
     if isinstance(base, RegressionDataset):
-        return RegressionDataset(batch.features, batch.targets)
-    return ClassificationDataset(batch.features, batch.targets, view.mode)
+        return RegressionDataset(features, targets)
+    return ClassificationDataset(features, targets, view.mode)

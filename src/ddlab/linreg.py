@@ -3,7 +3,10 @@
 The estimator is the SVD pseudoinverse solution: singular values at or
 below ``max(m, q) * machine_eps * sigma_max`` are treated as zero, which
 makes the fit the minimum-Euclidean-norm least-squares solution and gives
-a consistent numerical rank rule for the rank diagnostics.
+a consistent numerical rank rule for the rank diagnostics.  The fit is one
+LAPACK ``gelsd`` call (``np.linalg.lstsq`` with that cutoff passed as
+``rcond``): a QR, then an SVD of the small factor, applied to the targets
+without ever forming the left singular vectors of the design.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def _svd_cutoff(singular_values: np.ndarray, m: int, q: int) -> float:
 
 
 def pinv_solve(X: np.ndarray, y: np.ndarray) -> LinearModel:
-    """Minimum-norm least squares via the thin SVD pseudoinverse."""
+    """Minimum-norm least squares: the SVD pseudoinverse, through gelsd."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
@@ -49,12 +52,12 @@ def pinv_solve(X: np.ndarray, y: np.ndarray) -> LinearModel:
         raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    cutoff = _svd_cutoff(s, *X.shape)
-    keep = s > cutoff
-    coeffs = (u[:, keep].T @ y) / s[keep]
-    theta = vt[keep].T @ coeffs
-    return LinearModel(theta, int(keep.sum()), cutoff)
+    m, q = X.shape
+    # gelsd zeroes every singular value <= rcond * s[0], the _svd_cutoff
+    # rule; rcond is passed because numpy's default differs before 2.0
+    theta, _, rank, s = np.linalg.lstsq(
+        X, y, rcond=max(m, q) * np.finfo(np.float64).eps)
+    return LinearModel(theta, int(rank), _svd_cutoff(s, m, q))
 
 
 def mse(model: LinearModel, ds: RegressionDataset) -> float:
@@ -73,30 +76,42 @@ def design_rank(X: np.ndarray) -> int:
     return int(np.sum(s > _svd_cutoff(s, *X.shape)))
 
 
-def _fit_variant(train, test, variant, d):
-    """Fit one variant on a cell's base draws: (train MSE, test MSE, params).
+def _fit_variant(train, variant):
+    """Fit one variant on a cell's train draw: (model, train MSE).
 
-    The concat variant builds its [x || x] test set only after the n^2 x 2d
-    pair design is released, so the two are never alive at once.
+    The concat variant fits on the n^2 x 2d pair design, which is released
+    when this returns.
     """
     if variant != VARIANT_CONCAT:
         model = pinv_solve(train.features, train.targets)
-        return mse(model, train), mse(model, test), d
+        return model, mse(model, train)
     pairs = materialize(ConcatView(train), SWEEP_MATERIALIZE_BUDGET)
     model = pinv_solve(pairs.features, pairs.targets)
-    train_mse = mse(model, pairs)
-    del pairs
-    return train_mse, mse(model, build_concat_test(test)), 2 * d
+    return model, mse(model, pairs)
 
 
 def _sweep_cell(d, sigma, n, n_test, seed, variants):
-    """One (n, seed) cell. Draw order: theta, train, test; every variant is
-    then fitted on those same arrays, so standard and concat share bytes."""
+    """One (n, seed) cell: (train MSE, test MSE, params) per variant.
+
+    Draw order: theta, train, test, all from one ``Rng``.  Every variant is
+    fitted on the train draw before the test set is drawn; fitting draws
+    nothing, so the stream is the same as drawing all three first, and
+    standard and concat share bytes.  The n^2 x 2d pair design is thus
+    never alive next to the n_test-row test set or its [x || x] copy.
+    """
     rng = Rng(mix_seed(seed, n))
     theta = sample_theta(d, rng)
     train = gen_linreg(n, d, sigma, theta, rng)
+    fits = [_fit_variant(train, variant) for variant in variants]
     test = gen_linreg(n_test, d, sigma, theta, rng)
-    return [_fit_variant(train, test, variant, d) for variant in variants]
+    cells = []
+    for variant, (model, train_mse) in zip(variants, fits):
+        if variant == VARIANT_CONCAT:
+            test_mse = mse(model, build_concat_test(test))
+        else:
+            test_mse = mse(model, test)
+        cells.append((train_mse, test_mse, model.theta_hat.shape[0]))
+    return cells
 
 
 def lower_median(values) -> float:

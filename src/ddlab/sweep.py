@@ -470,9 +470,10 @@ def run_linreg_sweep(cfg: SweepConfig) -> SweepResult:
 
     Each (n, seed) cell is drawn once and fitted for every variant.  Cells
     run serially whatever ``threads`` says: two concurrent concat cells near
-    n=100 each hold an n^2 x 2d = 10^4 x 60 design plus its SVD workspace.
-    On the ``fig1`` grid with three seeds, a 2-thread pool of these cells
-    peaked at 88 MiB RSS against 64 MiB serial.
+    n=100 each hold an n^2 x 2d = 10^4 x 60 design plus its least-squares
+    workspace.  On the ``fig1`` grid with three seeds, a 2-thread pool of
+    these cells peaked at 66 MiB RSS against 48 MiB serial (fresh process,
+    single-threaded OpenBLAS).
     """
     points = linreg_sample_sweep(
         cfg.d, cfg.sigma, cfg.n_grid, cfg.seeds, cfg.n_test,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab import (ClassificationDataset, ConcatView, MemoryBudgetError,
                    RegressionDataset, Rng, build_concat_test, concat_pair,
                    gen_mixture_classification, materialize, one_hot,
                    sample_pairs)
-from ddlab.datagen import MODE_MULTI_HOT
+from ddlab.datagen import MODE_AVERAGED, MODE_MULTI_HOT
 
 
 def tiny_regression():
@@ -14,6 +16,24 @@ def tiny_regression():
 
 def small_classification(n=6, c=4, seed=0):
     return gen_mixture_classification(n, 3, c, 2.0, Rng(seed))
+
+
+def pair_view(kind, n, d, c, seed):
+    """A ConcatView over a regression, soft-label or one-hot base."""
+    rng = Rng(seed)
+    features = rng.standard_normal((n, d))
+    if kind == "regression":
+        return ConcatView(RegressionDataset(features, rng.standard_normal(n)))
+    if kind == "averaged":
+        weights = rng.uniform(0.1, 1.0, size=(n, c))
+        targets = weights / weights.sum(axis=1, keepdims=True)
+        return ConcatView(ClassificationDataset(features, targets))
+    targets = one_hot(rng.integers(c, size=n), c)
+    return ConcatView(ClassificationDataset(features, targets),
+                      MODE_MULTI_HOT)
+
+
+PAIR_KINDS = ("regression", "averaged", "multi_hot")
 
 
 class TestConcatPair:
@@ -104,6 +124,25 @@ class TestConcatView:
             view.element(0, 2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(PAIR_KINDS), n=st.integers(1, 8),
+       d=st.integers(1, 4), c=st.integers(2, 4), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_batch_matches_elements(kind, n, d, c, seed, data):
+    view = pair_view(kind, n, d, c, seed)
+    index = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1,
+                               max_size=20))
+    i_idx, j_idx = (list(half) for half in zip(*pairs))
+    batch = view.batch(i_idx, j_idx)
+    np.testing.assert_array_equal(batch.indices,
+                                  np.column_stack([i_idx, j_idx]))
+    for row, (i, j) in enumerate(zip(i_idx, j_idx)):
+        features, target = view.element(i, j)
+        assert np.array_equal(batch.features[row], features)
+        assert np.array_equal(batch.targets[row], target)
+
+
 class TestConcatTest:
     def test_shape_and_targets(self):
         base = small_classification(n=5)
@@ -189,6 +228,19 @@ class TestMaterialize:
                 np.testing.assert_array_equal(ds.features[row], features)
                 np.testing.assert_array_equal(ds.targets[row], target)
                 row += 1
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_bit_identical_to_gathered_batch(self, kind):
+        view = pair_view(kind, 9, 5, 3, seed=11)
+        n = view.n
+        ds = materialize(view)
+        batch = view.batch(np.repeat(np.arange(n), n),
+                           np.tile(np.arange(n), n))
+        assert ds.features.dtype == batch.features.dtype
+        assert np.array_equal(ds.features, batch.features)
+        assert ds.targets.shape == batch.targets.shape
+        assert np.array_equal(ds.targets, batch.targets)
+        assert getattr(ds, "mode", MODE_AVERAGED) == view.mode
 
     def test_target_conservation(self):
         # mean of pair targets equals mean of base targets by linearity

@@ -19,7 +19,7 @@ LINREG_BOTH_VARIANTS = {
     "d": 4, "sigma": 0.1, "n_grid": [3, 6, 9], "n_test": 40,
 }
 LINREG_BOTH_VARIANTS_SHA256 = (
-    "c72a78d9aee3cf1259ba998672b826b1610cd83241128ff817b6fd6055a148c3")
+    "65242a637bf5a49e8da04575114007456abaad9b1a383cae66f62e41cd2cb164")
 
 # Tiny configs of the training kinds, together covering every optimizer
 # branch (adam, momentum with weight decay, sgd) and every output file.
