@@ -144,18 +144,15 @@ def sample_pairs(view: ConcatView, m: int, rng: Rng) -> PairBatch:
     total = view.pair_count
     if m > total:
         raise ValueError(f"cannot draw {m} distinct pairs from a grid of {total}")
-    chosen: list[int] = []
-    seen: set[int] = set()
-    while len(chosen) < m:
-        block = max(64, int((m - len(chosen)) * 1.15) + 16)
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < m:
+        block = max(64, int((m - chosen.size) * 1.15) + 16)
         draws = rng.integers(total, size=block)
-        for value in draws.tolist():
-            if value not in seen:
-                seen.add(value)
-                chosen.append(value)
-                if len(chosen) == m:
-                    break
-    return view.batch_flat(np.array(chosen, dtype=np.int64))
+        # first occurrence of each value not chosen before, in draw order
+        values, first = np.unique(draws, return_index=True)
+        first = np.sort(first[~np.isin(values, chosen)])
+        chosen = np.concatenate([chosen, draws[first[:m - chosen.size]]])
+    return view.batch_flat(chosen)
 
 
 def materialize(view: ConcatView, max_bytes: int = 1 << 30):

@@ -121,7 +121,8 @@ def load_idx(images_path, labels_path, class_count: int | None = None):
             f"{labels_path} holds {labels.shape[0]} labels")
     if class_count is None:
         class_count = max(10, int(labels.max()) + 1) if labels.size else 10
-    features = pixels.reshape(pixels.shape[0], -1).astype(np.float64) / 255.0
+    count, rows, cols = pixels.shape
+    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return ClassificationDataset(features, one_hot(labels, class_count))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import ConcatView, build_concat_test, materialize
 from .datagen import RegressionDataset, gen_linreg, sample_theta
-from .records import STATUS_MEDIAN, CurvePoint
+from .records import STATUS_MEDIAN, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
 VARIANT_STANDARD = "standard"
@@ -112,14 +112,6 @@ def _sweep_cell(d, sigma, n, n_test, seed, variants):
             test_mse = mse(model, test)
         cells.append((train_mse, test_mse, model.theta_hat.shape[0]))
     return cells
-
-
-def lower_median(values) -> float:
-    """Median with the lower-middle element for even counts."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of empty sequence")
-    return ordered[(len(ordered) - 1) // 2]
 
 
 def linreg_sample_sweep(d: int, sigma: float, n_grid, seeds, n_test: int,

@@ -11,7 +11,12 @@ Logits are ``W2 @ relu(W1 @ x + b1) + b2``.  Three losses are supported:
 Gradients are exact derivatives of the batch-mean loss; relu'(0) is taken
 as 0.  The training loop is deterministic for a fixed seed: epoch order
 comes from the dataset permutation (or pair sampling for concatenated
-sources) on the trainer's own stream.
+sources) on the trainer's own stream.  Each epoch of a concrete dataset is
+gathered in permuted order once, into feature and target buffers that
+``train`` allocates once per call, and every step trains on a contiguous
+slice of them.  ``train`` also allocates one gradient vector per call and
+passes it to ``loss_and_grad(..., out=)`` on every step, so a step
+allocates no new parameter-sized array.
 
 Parameters live in one contiguous float64 vector ``theta`` laid out in
 checkpoint order: W1 (h x d_in, row-major), b1 (h), W2 (c x h, row-major),
@@ -204,19 +209,13 @@ def _total(values: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def _check_targets(T: np.ndarray, kind: str):
-    if kind == LOSS_CE:
-        if not np.all(np.abs(T.sum(axis=-1) - 1.0) <= 1e-6):
-            raise ValueError("cross-entropy targets must sum to 1 per row")
-    elif kind == LOSS_BCE:
-        if T.min() < 0.0 or T.max() > 1.0:
-            raise ValueError("binary cross-entropy targets must lie in [0, 1]")
-
-
-def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
+def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
+                  out: MlpGrads | None = None):
     """Batch-mean loss and its gradient with respect to every parameter.
 
-    For a stack the loss is an (S,) array and the gradient a stack.
+    For a stack the loss is an (S,) array and the gradient a stack.  The
+    gradient goes into a new ``MlpGrads``, or into ``out`` (which is
+    returned) when given; ``out`` must have the model's layout.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -229,7 +228,11 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
     if T.shape[-1] != model.n_out:
         raise ValueError(
             f"target width {T.shape[-1]} does not match model output {model.n_out}")
-    _check_targets(T, kind)
+    if out is not None and out.theta.shape != model.theta.shape:
+        raise ValueError(f"gradient buffer shape {out.theta.shape} does not "
+                         f"match the model's {model.theta.shape}")
+    if kind == LOSS_BCE and (T.min() < 0.0 or T.max() > 1.0):
+        raise ValueError("binary cross-entropy targets must lie in [0, 1]")
 
     batch = X.shape[-2]
     # relu in place: relu'(z) = [z > 0] = [relu(z) > 0], NaN included
@@ -242,9 +245,13 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
         loss = 0.5 * _total(diff * diff) / batch
         dZ2 = diff / batch
     elif kind == LOSS_CE:
+        # the one row sum both checks the targets and scales the softmax;
+        # NaN fails the comparison, so it is rejected too
+        row_mass = T.sum(axis=-1, keepdims=True)
+        if not (np.abs(row_mass - 1.0) <= 1e-6).all():
+            raise ValueError("cross-entropy targets must sum to 1 per row")
         logp = _log_softmax(Z2)
         loss = -_total(T * logp) / batch
-        row_mass = T.sum(axis=-1, keepdims=True)
         dZ2 = (np.exp(logp) * row_mass - T) / batch
     else:  # LOSS_BCE
         per = np.maximum(Z2, 0.0) - Z2 * T + np.log1p(np.exp(-np.abs(Z2)))
@@ -252,10 +259,13 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
         sig = 1.0 / (1.0 + np.exp(-Z2))
         dZ2 = (sig - T) / batch
 
-    if not np.isfinite(loss).all():
+    # math.isfinite on one model's float costs a fraction of np.isfinite
+    if not (math.isfinite(loss) if isinstance(loss, float)
+            else np.isfinite(loss).all()):
         raise FloatingPointError(f"non-finite {kind} loss")
 
-    grads = MlpGrads._from_theta(np.empty(model.theta.shape), model.shapes)
+    grads = out if out is not None else MlpGrads._from_theta(
+        np.empty(model.theta.shape), model.shapes)
     np.matmul(dZ2.swapaxes(-1, -2), H, out=grads.W2)
     dZ2.sum(axis=-2, out=grads.b2)
     # H is dead once gW2 and the relu mask exist: dZ1 reuses its buffer,
@@ -512,15 +522,28 @@ def _stack_sources(sources, kind: str) -> _DatasetStack:
                          one_hot.pop())
 
 
-def _epoch_batches(source, config: TrainConfig, rngs):
+def _epoch_buffers(source):
+    """Feature and target arrays one epoch of ``source`` is gathered into.
+
+    None for a ConcatView, whose epochs are already gathered by
+    ``sample_pairs``.
+    """
+    if isinstance(source, ConcatView):
+        return None
+    return np.empty_like(source.features), np.empty_like(source.targets)
+
+
+def _epoch_batches(source, config: TrainConfig, rngs, buffers):
     """Yield (features, targets) minibatches for one epoch.
 
     Concrete datasets are shuffled by a fresh permutation and cut into
-    batch_size slices (final partial batch included); a stack draws one
-    permutation per slice, each from that slice's own stream, and gathers
-    every slice's batch at once.  A ConcatView epoch is
-    min(n * e_mult, n^2) pairs sampled without replacement, consumed in
-    sampled order.
+    batch_size slices (final partial batch included).  The whole permuted
+    epoch is gathered once into ``buffers`` (from ``_epoch_buffers``,
+    reused every epoch), so each step gets a contiguous slice instead of a
+    fresh gather.  A stack draws one permutation per slice, each from that
+    slice's own stream, and gathers each slice's rows with its own
+    permutation.  A ConcatView epoch is min(n * e_mult, n^2) pairs sampled
+    without replacement, consumed in sampled order.
     """
     bs = config.batch_size
     if isinstance(source, ConcatView):
@@ -530,14 +553,20 @@ def _epoch_batches(source, config: TrainConfig, rngs):
         for lo in range(0, m, bs):
             yield batch.features[lo:lo + bs], batch.targets[lo:lo + bs]
         return
-    perms = [rng.permutation(source.n) for rng in rngs]
+    X, T = buffers
     if isinstance(source, _DatasetStack):
-        lead, perm = (np.arange(len(perms))[:, None],), np.stack(perms)
+        lead, slices = (slice(None),), zip(source.features, source.targets, X, T)
     else:
-        lead, (perm,) = (), perms
+        lead, slices = (), [(source.features, source.targets, X, T)]
+    for (features, targets, x_out, t_out), rng in zip(slices, rngs):
+        perm = rng.permutation(source.n)
+        # a permutation is always in range; mode="clip" lets take write
+        # straight into out, where the default mode goes through a buffer
+        np.take(features, perm, axis=0, out=x_out, mode="clip")
+        np.take(targets, perm, axis=0, out=t_out, mode="clip")
     for lo in range(0, source.n, bs):
-        sel = (*lead, perm[..., lo:lo + bs])
-        yield source.features[sel], source.targets[sel]
+        rows = (*lead, slice(lo, lo + bs))
+        yield X[rows], T[rows]
 
 
 def _per_slice(value, count: int) -> list:
@@ -585,6 +614,8 @@ def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
     eval_sets = eval_sets or {}
     count = len(rngs)
     state = make_optim_state(config.optimizer, model)
+    buffers = _epoch_buffers(source)
+    grads = MlpGrads._from_theta(np.empty_like(model.theta), model.shapes)
     records = [[] for _ in range(count)]
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -595,8 +626,8 @@ def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
             # overflow in a diverging run is reported via the explicit
             # non-finite loss check, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                for X, T in _epoch_batches(source, config, rngs):
-                    loss, grads = loss_and_grad(model, X, T, config.loss)
+                for X, T in _epoch_batches(source, config, rngs, buffers):
+                    loss, _ = loss_and_grad(model, X, T, config.loss, grads)
                     opt_step(model, grads, state)
                     total_loss += loss * X.shape[-2]
                     total_rows += X.shape[-2]

@@ -13,6 +13,14 @@ STATUS_FAILED = "failed"
 STATUS_MEDIAN = "median"
 
 
+def lower_median(values) -> float:
+    """Median with the lower-middle element for even counts."""
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("median of empty sequence")
+    return ordered[(len(ordered) - 1) // 2]
+
+
 def fmt_value(value) -> str:
     """Round-trip cell formatting: 17 significant digits, empty for None."""
     if value is None:

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +39,7 @@ from .linreg import (VARIANT_CONCAT, VARIANT_STANDARD, VARIANTS,
                      linreg_sample_sweep)
 from .nnet import (LOSS_BCE, LOSS_CE, OptimizerConfig, TrainConfig,
                    TrainingDivergedError, init_mlp, train)
-from .records import CSV_HEADER, STATUS_FAILED, CurvePoint
+from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
 EXPERIMENT_KINDS = ("linreg-sample", "mlp-width", "epochwise", "biasvar")
@@ -322,6 +323,10 @@ def build_base_data(cfg: SweepConfig, seed: int):
     else:
         train_ds = load_idx(data.images, data.labels)
         test_ds = load_idx(data.test_images, data.test_labels)
+        for path, ds in ((data.images, train_ds), (data.test_images, test_ds)):
+            if ds.features.size == 0:
+                raise ConfigError(f"{path}: holds no pixels "
+                                  f"(image count, rows or cols is 0)")
         rng = Rng(mix_seed(seed, STREAM_DATA))
         if data.n is not None:
             if data.n > train_ds.n:
@@ -543,7 +548,7 @@ def summarize(points, group_keys, value_field: str = "test_loss"):
     for key in sorted(groups):
         values = sorted(groups[key])
         rows.append(SummaryRow(
-            key, len(values), values[(len(values) - 1) // 2],
+            key, len(values), lower_median(values),
             sum(values) / len(values), values[0], values[-1]))
     return rows
 
@@ -586,5 +591,5 @@ def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
     write_manifest(out / f"{cfg.experiment_id}_manifest.json", cfg, result)
     if verbose:
         for cell, error in result.failures:
-            print(f"cell {cell} failed: {error}")
+            print(f"cell {cell} failed: {error}", file=sys.stderr)
     return result

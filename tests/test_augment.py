@@ -192,6 +192,37 @@ class TestSamplePairs:
             sample_pairs(view, 5, Rng(0))
 
 
+def reference_sample_pairs(view, m, rng):
+    """sample_pairs as a per-value loop over each drawn block."""
+    total = view.pair_count
+    chosen, seen = [], set()
+    while len(chosen) < m:
+        block = max(64, int((m - len(chosen)) * 1.15) + 16)
+        for value in rng.integers(total, size=block).tolist():
+            if value not in seen:
+                seen.add(value)
+                chosen.append(value)
+                if len(chosen) == m:
+                    break
+    return view.batch_flat(np.array(chosen, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(PAIR_KINDS), n=st.integers(1, 40),
+       seed=st.integers(0, 10**6), data=st.data())
+def test_sample_pairs_matches_loop_reference(kind, n, seed, data):
+    # m = n^2 is coupon collecting: several blocks, most draws repeats
+    m = data.draw(st.one_of(st.integers(1, n * n), st.just(n * n)))
+    view = pair_view(kind, n, 2, 3, seed)
+    rng, ref_rng = Rng(seed + 1), Rng(seed + 1)
+    got = sample_pairs(view, m, rng)
+    want = reference_sample_pairs(view, m, ref_rng)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.targets, want.targets)
+    assert rng.random() == ref_rng.random()  # same stream position
+
+
 class TestMaterialize:
     def test_tiny_example_rows(self):
         ds = materialize(ConcatView(tiny_regression()))

@@ -135,6 +135,49 @@ class TestSweepCommands:
         csv = (tmp_path / "out" / "boom.csv").read_text()
         assert "failed" in csv
 
+    def test_verbose_failures_go_to_stderr(self, tmp_path):
+        raw = {
+            "experiment": "mlp-width", "experiment_id": "boom",
+            "variants": ["standard"], "seeds": [0],
+            "data": {"kind": "mixture", "n": 40, "d": 4, "classes": 2,
+                     "separation": 3.0, "test_n": 20},
+            "widths": [2],
+            "train": {"loss": "ce", "epochs": 2, "batch_size": 8,
+                      "optimizer": {"kind": "sgd", "lr": 1e308}},
+        }
+        cfg = write_config(tmp_path, raw)
+        proc = run_cli(["mlp-sweep", "-c", str(cfg), "-v", "-o",
+                        str(tmp_path / "out")])
+        assert proc.returncode == 1
+        echo = json.loads(proc.stdout)  # stdout holds the echo alone
+        assert echo["experiment_id"] == "boom"
+        assert "cell standard/w2/s0 failed: " in proc.stderr
+
+    @pytest.mark.parametrize("empty", ["images", "test_images"])
+    def test_idx_pair_without_images_exit_code_2(self, tmp_path, empty):
+        data = {"kind": "idx"}
+        for name, count in (("images", 4), ("test_images", 3)):
+            count = 0 if name == empty else count
+            ip = tmp_path / f"{name}-idx3"
+            lp = tmp_path / f"{name}-idx1"
+            write_idx(ip, lp, np.zeros((count, 2, 2), dtype=np.uint8),
+                      np.arange(count) % 3)
+            data[name] = str(ip)
+            data[name.replace("images", "labels")] = str(lp)
+        raw = {
+            "experiment": "mlp-width", "experiment_id": "empty",
+            "variants": ["standard"], "seeds": [0], "data": data,
+            "widths": [2],
+            "train": {"loss": "ce", "epochs": 1, "batch_size": 8},
+        }
+        cfg = write_config(tmp_path, raw)
+        proc = run_cli(["mlp-sweep", "-c", str(cfg), "-o",
+                        str(tmp_path / "out")])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "holds no pixels" in lines[0]
+
     def test_biasvar_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, tiny_biasvar_config())
         proc = run_cli(["biasvar", "-c", str(cfg), "-o",

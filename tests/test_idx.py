@@ -1,10 +1,15 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddlab import (IdxCountMismatchError, IdxMagicError, IdxTruncatedError,
-                   inspect_idx, load_idx, write_idx)
+from ddlab import (IdxCountMismatchError, IdxFormatError, IdxMagicError,
+                   IdxTruncatedError, inspect_idx, load_idx, write_idx)
+from ddlab.idx import read_idx_images, read_idx_labels
 
 
 def make_pair(tmp_path, pixels, labels):
@@ -84,3 +89,45 @@ def test_count_mismatch(tmp_path):
     lp.write_bytes(struct.pack(">2I", 0x00000801, 3) + bytes([0, 1, 2]))
     with pytest.raises(IdxCountMismatchError):
         load_idx(ip, lp)
+
+
+def test_zero_images_load_as_an_empty_dataset(tmp_path):
+    ip, lp = make_pair(tmp_path, np.zeros((0, 3, 2)), np.zeros(0, dtype=int))
+    ds = load_idx(ip, lp)
+    assert ds.features.shape == (0, 6) and ds.targets.shape == (0, 10)
+
+
+def _corrupt(data: bytes, edit, where: int, payload: bytes) -> bytes:
+    where = min(where, len(data))
+    if edit == "truncate":
+        return data[:where]
+    if edit == "extend":
+        return data + payload
+    flipped = bytearray(data)
+    for k, byte in enumerate(payload):
+        if flipped:
+            flipped[(where + k) % len(flipped)] ^= byte | 1
+    return bytes(flipped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(0, 3), rows=st.integers(0, 3), cols=st.integers(0, 3),
+       target=st.sampled_from(["images", "labels", "both"]),
+       edit=st.sampled_from(["truncate", "flip", "extend"]),
+       where=st.integers(0, 60), payload=st.binary(min_size=1, max_size=6))
+def test_corrupted_files_raise_only_idx_format_errors(
+        count, rows, cols, target, edit, where, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        ip, lp = make_pair(Path(tmp), np.full((count, rows, cols), 7),
+                           np.arange(count) % 10)
+        for path in ((ip, lp) if target == "both"
+                     else (ip,) if target == "images" else (lp,)):
+            path.write_bytes(_corrupt(path.read_bytes(), edit, where, payload))
+        calls = [lambda: inspect_idx(ip), lambda: inspect_idx(lp),
+                 lambda: read_idx_images(ip), lambda: read_idx_labels(lp),
+                 lambda: load_idx(ip, lp)]
+        for call in calls:
+            try:
+                call()
+            except IdxFormatError:
+                pass

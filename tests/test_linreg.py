@@ -11,7 +11,7 @@ from ddlab import (ConcatView, LinearModel, RegressionDataset, Rng,
                    build_concat_test, design_rank, gen_linreg,
                    linreg_sample_sweep, materialize, mix_seed, mse,
                    pinv_solve, sample_theta)
-from ddlab.linreg import _svd_cutoff, _sweep_cell, lower_median, median_points
+from ddlab.linreg import _svd_cutoff, _sweep_cell, median_points
 
 
 def gram_rank_oracle(X):
@@ -234,10 +234,6 @@ class TestSweep:
         assert [p.axis_value for p in med] == [4.0, 8.0]
         per_seed = [p for p in points if p.status == "ok"]
         assert all(p.seed is not None for p in per_seed)
-
-    def test_median_is_lower_middle(self):
-        assert lower_median([1, 2, 3, 4]) == 2
-        assert lower_median([3.0]) == 3.0
 
     def test_overdetermined_regime_value(self):
         # d=30, n=100, sigma=0.1: theory sigma^2 (1 + d/(n-d-1)) ~ 0.0143

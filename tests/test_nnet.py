@@ -16,7 +16,8 @@ from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
                    one_hot, opt_step, pinv_solve, save_mlp, split_k, train)
 from ddlab.datagen import ClassificationDataset, RegressionDataset
 from ddlab.nnet import (LOSS_BCE, LOSS_CE, LOSS_MSE, MlpGrads, MlpModel,
-                        make_optim_state)
+                        _DatasetStack, _epoch_batches, _epoch_buffers,
+                        _stack_sources, make_optim_state)
 
 
 def random_model(rng, d_in=4, h=5, c=3, bias_scale=0.3):
@@ -177,6 +178,54 @@ def test_stacked_steps_match_separate_models(
     logits = forward(stacked, shared)
     for s, model in enumerate(models):
         assert np.array_equal(logits[s], forward(model, shared))
+
+
+def reference_epoch_batches(source, config, rngs):
+    """Epoch batches by a fresh fancy-index gather per step."""
+    bs = config.batch_size
+    perms = [rng.permutation(source.n) for rng in rngs]
+    if isinstance(source, _DatasetStack):
+        lead, perm = (np.arange(len(perms))[:, None],), np.stack(perms)
+    else:
+        lead, (perm,) = (), perms
+    for lo in range(0, source.n, bs):
+        sel = (*lead, perm[..., lo:lo + bs])
+        yield source.features[sel], source.targets[sel]
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=st.sampled_from([None, 1, 2, 3]),
+       regression=st.booleans(), n=st.integers(1, 40), d=st.integers(1, 4),
+       c=st.integers(1, 4), epochs=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_epoch_gather_matches_per_step_gather(stack, regression, n, d, c,
+                                              epochs, seed, data):
+    batch_size = data.draw(st.integers(1, n + 3))  # partial batches included
+    rng = Rng(seed)
+    sources = []
+    for _ in range(stack or 1):
+        features = rng.standard_normal((n, d))
+        if regression:
+            sources.append(RegressionDataset(features, rng.standard_normal(n)))
+        else:
+            sources.append(ClassificationDataset(
+                features, one_hot(rng.integers(c, size=n), c)))
+    kind = LOSS_MSE if regression else LOSS_CE
+    source = sources[0] if stack is None else _stack_sources(sources, kind)
+    config = TrainConfig(kind, epochs, batch_size, seed=0)
+    seeds = [seed + s for s in range(stack or 1)]
+    rngs, ref_rngs = [Rng(s) for s in seeds], [Rng(s) for s in seeds]
+    buffers = _epoch_buffers(source)
+    for _ in range(epochs):  # later epochs reuse the buffers
+        got = [(X.copy(), T.copy())
+               for X, T in _epoch_batches(source, config, rngs, buffers)]
+        want = list(reference_epoch_batches(source, config, ref_rngs))
+        assert len(got) == len(want)
+        for (X, T), (ref_X, ref_T) in zip(got, want):
+            assert np.array_equal(X, ref_X) and np.array_equal(T, ref_T)
+            assert X.shape == ref_X.shape and T.shape == ref_T.shape
+    for a, b in zip(rngs, ref_rngs):
+        assert a.random() == b.random()
 
 
 class TestStack:
@@ -375,6 +424,31 @@ class TestLosses:
             loss_and_grad(model, np.zeros((1, 2)), np.array([[0.9, 0.9, 0.9]]),
                           LOSS_CE)
 
+    @pytest.mark.parametrize("bad", [1.0 + 2e-6, math.nan])
+    def test_ce_rejects_an_off_mass_or_nan_row(self, bad):
+        model = init_mlp(2, 3, 3, Rng(0))
+        T = np.full((4, 3), 1.0 / 3.0)
+        T[2] = [bad - 2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]
+        # the target check raises before the non-finite-loss check
+        with pytest.raises(ValueError, match="sum to 1 per row"):
+            loss_and_grad(model, np.zeros((4, 2)), T, LOSS_CE)
+
+    def test_ce_accepts_mass_within_tolerance(self):
+        model = init_mlp(2, 3, 3, Rng(0))
+        T = np.full((2, 3), 1.0 / 3.0)
+        T[1, 0] += 5e-7
+        loss_and_grad(model, np.zeros((2, 2)), T, LOSS_CE)
+
+    def test_ce_rejects_one_bad_slice_of_a_stack(self):
+        rng = Rng(3)
+        stacked = MlpModel.stack([random_model(rng) for _ in range(3)])
+        T = np.stack([random_targets(rng, 5, 3, LOSS_CE) for _ in range(3)])
+        X = rng.standard_normal((3, 5, 4))
+        loss_and_grad(stacked, X, T, LOSS_CE)
+        T[1, 4, 0] += 2e-6
+        with pytest.raises(ValueError, match="sum to 1 per row"):
+            loss_and_grad(stacked, X, T, LOSS_CE)
+
     def test_ce_vanishes_with_growing_margin(self):
         # perfect one-hot prediction: loss -> 0 as the logit margin grows
         T = one_hot([0], 3)
@@ -473,6 +547,61 @@ class TestBackwardMemory:
         for got, want in zip((X, T, model.theta), before):
             assert np.array_equal(got, want)
             assert not np.shares_memory(grads.theta, got)
+
+    @pytest.mark.parametrize("kind", [LOSS_MSE, LOSS_CE, LOSS_BCE])
+    @pytest.mark.parametrize("stack", [1, 2])
+    def test_out_leaves_inputs_untouched_and_unaliased(self, kind, stack):
+        model, X, T = self._problem(kind, stack)
+        X, T = X[..., :7, :], T[..., :7, :]
+        before = [a.copy() for a in (X, T, model.theta)]
+        out = MlpGrads._from_theta(np.empty_like(model.theta), model.shapes)
+        _, grads = loss_and_grad(model, X, T, kind, out=out)
+        assert grads is out
+        for got, want in zip((X, T, model.theta), before):
+            assert np.array_equal(got, want)
+            assert not np.shares_memory(out.theta, got)
+
+
+class TestGradientBuffer:
+    @pytest.mark.parametrize("kind", [LOSS_MSE, LOSS_CE, LOSS_BCE])
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_out_equals_a_fresh_gradient(self, kind, stack):
+        rng = Rng(17)
+        models = [random_model(rng, 4, 6, 3) for _ in range(stack)]
+        X = rng.standard_normal((stack, 9, 4))
+        T = np.stack([random_targets(rng, 9, 3, kind) for _ in range(stack)])
+        if stack == 1:
+            model, X, T = models[0], X[0], T[0]
+        else:
+            model = MlpModel.stack(models)
+        loss, fresh = loss_and_grad(model, X, T, kind)
+        # NaN-filled, so an element the pass fails to write shows up
+        out = MlpGrads._from_theta(np.full(model.theta.shape, math.nan),
+                                   model.shapes)
+        for _ in range(2):  # a reused buffer gives the same bytes again
+            got_loss, grads = loss_and_grad(model, X, T, kind, out=out)
+            assert grads is out
+            assert np.array_equal(got_loss, loss)
+            assert np.array_equal(out.theta, fresh.theta)
+
+    def test_wrong_layout_rejected(self):
+        rng = Rng(18)
+        model = random_model(rng, 4, 5, 3)  # 43 parameters
+        X, T = rng.standard_normal((6, 4)), random_targets(rng, 6, 3, LOSS_MSE)
+        stack = MlpModel.stack([model, model])
+        for out in (MlpGrads(*random_model(rng, 4, 6, 3).arrays()),
+                    MlpGrads._from_theta(np.empty_like(stack.theta),
+                                         stack.shapes)):
+            with pytest.raises(ValueError, match="gradient buffer shape"):
+                loss_and_grad(model, X, T, LOSS_MSE, out=out)
+        with pytest.raises(ValueError, match="gradient buffer shape"):
+            loss_and_grad(stack, X, T, LOSS_MSE,
+                          out=MlpGrads(*model.arrays()))
+        # also 43 parameters, in other blocks: numpy's out= shape checks
+        same_size = MlpGrads(np.zeros((1, 40)), np.zeros(1), np.zeros((1, 1)),
+                             np.zeros(1))
+        with pytest.raises(ValueError):
+            loss_and_grad(model, X, T, LOSS_MSE, out=same_size)
 
 
 class TestConfigRanges:
