@@ -155,16 +155,22 @@ def sample_pairs(view: ConcatView, m: int, rng: Rng) -> PairBatch:
     return view.batch_flat(chosen)
 
 
+def materialized_bytes(n: int, d: int, target_width: int = 1) -> int:
+    """Bytes ``materialize`` allocates for n base rows of width d: the
+    n*n pair features [x_i || x_j] plus targets, 8 bytes per value."""
+    return n * n * (2 * d + target_width) * 8
+
+
 def materialize(view: ConcatView, max_bytes: int = 1 << 30):
     """Dense row-major (i, j) dataset for the full n*n grid.
 
-    Refuses to allocate past ``max_bytes`` (features plus targets, 8 bytes
-    per value) since the grid grows quadratically in the base size.
+    Refuses to allocate past ``max_bytes`` (``materialized_bytes``) since
+    the grid grows quadratically in the base size.
     """
     n = view.n
     base = view.base
     target_width = 1 if base.targets.ndim == 1 else base.targets.shape[1]
-    need = n * n * (view.input_dim + target_width) * 8
+    need = materialized_bytes(n, base.dim, target_width)
     if need > max_bytes:
         raise MemoryBudgetError(
             f"materializing {n}x{n} pairs needs {need} bytes, "

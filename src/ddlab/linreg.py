@@ -7,10 +7,21 @@ a consistent numerical rank rule for the rank diagnostics.  The fit is one
 LAPACK ``gelsd`` call (``np.linalg.lstsq`` with that cutoff passed as
 ``rcond``): a QR, then an SVD of the small factor, applied to the targets
 without ever forming the left singular vectors of the design.
+
+The concat variant is fitted in closed form on the n base rows.  The pair
+loss is symmetric under swapping the two input halves, so its min-norm
+solution is [phi || phi].  With r = X phi - y/2, the loss over all n^2
+pairs is 2 r^T (n I + 1 1^T) r: least squares on the base rows weighted
+by W = n I + 1 1^T, whose square root is sqrt(n) I + (sqrt(2n) - sqrt(n))
+1 1^T / n.  One ``pinv_solve`` of the transformed base rows, an n x d
+problem like the standard fit, returns psi = 2 phi.  The n^2 x 2d pair
+design is still built, but only for the concat train MSE, which is
+defined over all n^2 pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +35,9 @@ VARIANT_STANDARD = "standard"
 VARIANT_CONCAT = "concat"
 VARIANTS = (VARIANT_STANDARD, VARIANT_CONCAT)
 
-# sample-sweep grids stay at n <= a few hundred, so their n^2 x 2d designs
-# are megabytes; this cap only guards accidental quadratic blowups
+# sample-sweep grids stay at n <= a few hundred, so their n^2 x 2d pair
+# designs (built for the concat train MSE) are megabytes; validate_config
+# rejects grids past this cap before any cell runs
 SWEEP_MATERIALIZE_BUDGET = 6 << 30
 
 
@@ -79,14 +91,23 @@ def design_rank(X: np.ndarray) -> int:
 def _fit_variant(train, variant):
     """Fit one variant on a cell's train draw: (model, train MSE).
 
-    The concat variant fits on the n^2 x 2d pair design, which is released
-    when this returns.
+    The concat fit is one ``pinv_solve`` of the base rows under the
+    square root of the pair weighting (see the module docstring), split
+    into equal halves.  Its train MSE is the mean over all n^2 pairs, so
+    the pair design is built first and released when this returns.
     """
     if variant != VARIANT_CONCAT:
         model = pinv_solve(train.features, train.targets)
         return model, mse(model, train)
     pairs = materialize(ConcatView(train), SWEEP_MATERIALIZE_BUDGET)
-    model = pinv_solve(pairs.features, pairs.targets)
+    X, y = train.features, train.targets
+    root_n = math.sqrt(train.n)
+    lift = math.sqrt(2 * train.n) - root_n
+    psi = pinv_solve(root_n * X + lift * X.mean(axis=0),
+                     root_n * y + lift * y.mean())
+    half = psi.theta_hat / 2
+    model = LinearModel(np.concatenate([half, half]), psi.effective_rank,
+                        psi.sv_cutoff)
     return model, mse(model, pairs)
 
 
@@ -96,8 +117,10 @@ def _sweep_cell(d, sigma, n, n_test, seed, variants):
     Draw order: theta, train, test, all from one ``Rng``.  Every variant is
     fitted on the train draw before the test set is drawn; fitting draws
     nothing, so the stream is the same as drawing all three first, and
-    standard and concat share bytes.  The n^2 x 2d pair design is thus
-    never alive next to the n_test-row test set or its [x || x] copy.
+    standard and concat share bytes.  The n^2 x 2d pair design, built
+    only for the concat train MSE, is thus never alive next to the
+    n_test-row test set or its [x || x] copy.  The concat test MSE stays
+    the MSE of [x || x] @ theta_hat on that copy.
     """
     rng = Rng(mix_seed(seed, n))
     theta = sample_theta(d, rng)

@@ -15,10 +15,14 @@ checkable.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 import types
 import typing
@@ -29,14 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import ConcatView, build_concat_test
+from .augment import ConcatView, build_concat_test, materialized_bytes
 from .biasvar import BiasVarianceReport, estimate_bias_variance
 from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
                       NoiseSpec, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
-from .linreg import (VARIANT_CONCAT, VARIANT_STANDARD, VARIANTS,
-                     linreg_sample_sweep)
+from .linreg import (SWEEP_MATERIALIZE_BUDGET, VARIANT_CONCAT,
+                     VARIANT_STANDARD, VARIANTS, linreg_sample_sweep)
 from .nnet import (LOSS_BCE, LOSS_CE, OptimizerConfig, TrainConfig,
                    TrainingDivergedError, init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
@@ -240,6 +244,15 @@ def validate_config(cfg: SweepConfig) -> None:
             raise ConfigError("sigma must be a finite number >= 0")
         if not all(_positive_int(n) for n in cfg.n_grid):
             raise ConfigError("n_grid must hold positive integers")
+        if VARIANT_CONCAT in cfg.variants:
+            # a concat cell builds its n^2-pair design for the train MSE
+            n = max(cfg.n_grid)
+            need = materialized_bytes(n, cfg.d)
+            if need > SWEEP_MATERIALIZE_BUDGET:
+                raise ConfigError(
+                    f"n_grid: the concat pair design at n = {n} needs "
+                    f"{need} bytes, over the "
+                    f"{SWEEP_MATERIALIZE_BUDGET}-byte budget")
         return
     if cfg.data is None or cfg.train is None:
         raise ConfigError(f"{cfg.experiment} needs data and train sections")
@@ -475,10 +488,10 @@ def run_linreg_sweep(cfg: SweepConfig) -> SweepResult:
 
     Each (n, seed) cell is drawn once and fitted for every variant.  Cells
     run serially whatever ``threads`` says: two concurrent concat cells near
-    n=100 each hold an n^2 x 2d = 10^4 x 60 design plus its least-squares
-    workspace.  On the ``fig1`` grid with three seeds, a 2-thread pool of
-    these cells peaked at 66 MiB RSS against 48 MiB serial (fresh process,
-    single-threaded OpenBLAS).
+    n=100 each hold an n^2 x 2d = 10^4 x 60 pair design, built for the
+    concat train MSE.  On the ``fig1`` grid with three seeds, a 2-thread
+    pool of these cells peaked at 57 MiB RSS against 47 MiB serial (fresh
+    process, single-threaded OpenBLAS).
     """
     points = linreg_sample_sweep(
         cfg.d, cfg.sigma, cfg.n_grid, cfg.seeds, cfg.n_test,
@@ -556,9 +569,54 @@ def summarize(points, group_keys, value_field: str = "test_loss"):
 # -- output -----------------------------------------------------------------------
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file next to ``path``, then rename it
+    into place, so an interrupted write never leaves a truncated file
+    under the final name.  (The data is not fsynced: this guards against
+    interrupts, not power loss.)"""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_points_csv(path, points) -> None:
     lines = [CSV_HEADER] + [p.csv_row() for p in points]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+@functools.cache
+def _environment() -> dict:
+    deps = {}
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy < 1.25 has no mode argument
+        pass
+    probe = np.random.Generator(np.random.PCG64(2024)).random(1 << 16)
+    return {
+        "numpy": np.__version__,
+        **{lib: {key: deps.get(lib, {}).get(key) for key in ("name", "version")}
+           for lib in ("blas", "lapack")},
+        "num_threads_env": {k: v for k, v in sorted(os.environ.items())
+                            if k.endswith("_NUM_THREADS")},
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "log_fingerprint": hashlib.sha256(np.log(probe).tobytes()).hexdigest(),
+    }
+
+
+def run_environment() -> dict:
+    """What produced a run's bytes: numpy and its BLAS/LAPACK, the
+    ``*_NUM_THREADS`` variables, Python and the platform, plus
+    ``log_fingerprint``, the SHA-256 of numpy's float64 ``log`` over
+    2^16 uniforms from ``PCG64(2024)``.  Rng's Gaussians go through that
+    ``log``, so two machines whose fingerprints differ may legitimately
+    write different bytes.  Gathered once per process, on first use."""
+    return copy.deepcopy(_environment())
 
 
 def write_manifest(path, cfg: SweepConfig, result: SweepResult,
@@ -571,8 +629,9 @@ def write_manifest(path, cfg: SweepConfig, result: SweepResult,
         "threads": threads if threads is not None else cfg.threads,
         "input_hashes": result.cell_hashes,
         "failed_cells": [cell for cell, _ in result.failures],
+        "environment": run_environment(),
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
@@ -582,7 +641,7 @@ def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
     result = RUNNERS[cfg.experiment](cfg)
     if cfg.experiment == "biasvar":
         report_path = out / f"{cfg.experiment_id}_biasvar.csv"
-        report_path.write_text("\n".join(result.report.csv_lines()) + "\n")
+        _write_atomic(report_path, "\n".join(result.report.csv_lines()) + "\n")
     else:
         write_points_csv(out / f"{cfg.experiment_id}.csv", result.points)
         if result.trace_points:

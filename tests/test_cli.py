@@ -229,6 +229,20 @@ class TestSweepCommands:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_oversize_concat_grid_exit_code_2(self, tmp_path):
+        # the concat pair design at n = 4000, d = 30 needs 7.8 GB: the
+        # config is refused before any cell runs, standard cells included
+        proc = run_cli(["linreg-sweep", "-c", "fig1.json",
+                        "--set", "n_grid=[4000]", "--set", "seeds=[0]",
+                        "--set", "n_test=10", "-o", str(tmp_path / "out")],
+                       cwd=str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "n = 4000" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_preset_by_name(self, tmp_path):
         # fig1 preset resolves from package data; shrink it so it runs fast
         proc = run_cli(["linreg-sweep", "-c", "fig1.json",

@@ -11,7 +11,7 @@ from ddlab import (ConcatView, LinearModel, RegressionDataset, Rng,
                    build_concat_test, design_rank, gen_linreg,
                    linreg_sample_sweep, materialize, mix_seed, mse,
                    pinv_solve, sample_theta)
-from ddlab.linreg import _svd_cutoff, _sweep_cell, median_points
+from ddlab.linreg import _fit_variant, _svd_cutoff, _sweep_cell, median_points
 
 
 def gram_rank_oracle(X):
@@ -161,6 +161,76 @@ def test_fig1_fits_match_thin_svd_reference():
                 assert got.effective_rank == ref.effective_rank, (n, seed)
                 a, b = mse(got, test_on), mse(ref, test_on)
                 worst = max(worst, abs(a - b) / b)
+    assert worst <= 1e-12, worst
+
+
+def pair_design_fit(train):
+    """The concat fit by brute force: pinv_solve on all n^2 pair rows.
+
+    The reference for linreg's closed-form concat fit on the base rows.
+    """
+    pairs = materialize(ConcatView(train))
+    return pinv_solve(pairs.features, pairs.targets)
+
+
+@st.composite
+def concat_bases(draw):
+    """Regression bases, n <= d and n > d, generic, with a duplicated row,
+    or with an all-zero design."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    base = gen_linreg(n, d, 0.1, sample_theta(d, rng), rng)
+    X = base.features.copy()
+    kind = draw(st.sampled_from(["generic", "duplicated", "zero"]))
+    if kind == "duplicated" and n > 1:
+        X[draw(st.integers(1, n - 1))] = X[0]
+    elif kind == "zero":
+        X[:] = 0.0
+    return RegressionDataset(X, base.targets), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(concat_bases())
+def test_closed_form_concat_matches_pair_design(case):
+    base, rng = case
+    d = base.dim
+    got, _ = _fit_variant(base, "concat")
+    ref = pair_design_fit(base)
+    theta_a, theta_b = got.theta_hat[:d], got.theta_hat[d:]
+    assert np.array_equal(theta_a, theta_b)
+    scale = max(1.0, float(np.linalg.norm(base.targets)))
+    # fitted values on all n^2 pairs: a projection, as well conditioned as y
+    pairs = materialize(ConcatView(base)).features
+    np.testing.assert_allclose(pairs @ got.theta_hat, pairs @ ref.theta_hat,
+                               rtol=0, atol=1e-10 * scale)
+    # any 2d-wide input: there the reference errs by about eps times the
+    # pair design's condition number, mostly in its antisymmetric half
+    # (worst 3.4e-13 * cond * scale over 40,000 random bases)
+    s = np.linalg.svd(pairs, compute_uv=False)
+    kept = s[s > _svd_cutoff(s, *pairs.shape)]
+    cond = kept[0] / kept[-1] if kept.size else 1.0
+    probes = rng.standard_normal((20, 2 * d))
+    np.testing.assert_allclose(probes @ got.theta_hat, probes @ ref.theta_hat,
+                               rtol=0, atol=1e-11 * cond * scale)
+
+
+def test_fig1_concat_fits_match_pair_design():
+    # All 150 concat cells of the fig1 grid at seeds 0-2, drawn as
+    # _sweep_cell draws them: the closed-form fit's test MSE on [x || x]
+    # within 1e-12 relative of the pair-design fit's.
+    raw = json.loads(resources.files("ddlab").joinpath(
+        "presets", "fig1.json").read_text())
+    d, sigma, n_test = raw["d"], raw["sigma"], raw["n_test"]
+    worst = 0.0
+    for n in raw["n_grid"]:
+        for seed in (0, 1, 2):
+            rng = Rng(mix_seed(seed, n))
+            theta = sample_theta(d, rng)
+            train = gen_linreg(n, d, sigma, theta, rng)
+            test = build_concat_test(gen_linreg(n_test, d, sigma, theta, rng))
+            got, _ = _fit_variant(train, "concat")
+            a, b = mse(got, test), mse(pair_design_fit(train), test)
+            worst = max(worst, abs(a - b) / b)
     assert worst <= 1e-12, worst
 
 

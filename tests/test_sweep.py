@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ LINREG_BOTH_VARIANTS = {
     "d": 4, "sigma": 0.1, "n_grid": [3, 6, 9], "n_test": 40,
 }
 LINREG_BOTH_VARIANTS_SHA256 = (
-    "65242a637bf5a49e8da04575114007456abaad9b1a383cae66f62e41cd2cb164")
+    "289d08749f86b9d82c4d54f99067483434f6ac2ace17bddf20c1dfe304b95eeb")
 
 # Tiny configs of the training kinds, together covering every optimizer
 # branch (adam, momentum with weight decay, sgd) and every output file.
@@ -198,6 +199,20 @@ class TestConfigParsing:
         raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
         raw["train"]["epochs"] = 0
         assert parse_config(raw).train.epochs == 0
+
+    def test_concat_pair_design_over_budget_rejected(self):
+        # n^2 (2d + 1) 8 bytes against the 6 GiB budget: at d = 30, n = 3633
+        # needs 6,440,960,232 bytes and n = 3634 needs 6,444,506,528
+        raw = dict(LINREG_BOTH_VARIANTS, d=30, n_grid=[100, 3633])
+        assert parse_config(raw).n_grid == [100, 3633]
+        raw["n_grid"] = [3634, 100]
+        with pytest.raises(ConfigError, match=(
+                r"^n_grid: the concat pair design at n = 3634 needs "
+                r"6444506528 bytes, over the 6442450944-byte budget$")):
+            parse_config(raw)
+        # standard cells build no pair design, so any n is accepted
+        raw.update(variants=["standard"], n_grid=[4000])
+        assert parse_config(raw).n_grid == [4000]
 
     def test_missing_idx_file_is_config_error(self):
         raw = mixture_config()
@@ -416,6 +431,42 @@ class TestOutputs:
         assert manifest["seeds"] == [0]
         assert manifest["resolved_config"]["experiment"] == "mlp-width"
         assert set(manifest["input_hashes"]) == set(result.cell_hashes)
+
+    def test_manifest_environment(self, tmp_path):
+        run_config(parse_config(LINREG_BOTH_VARIANTS), tmp_path)
+        manifest = json.loads((tmp_path / "lin_manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"numpy", "blas", "lapack", "num_threads_env",
+                            "python", "platform", "log_fingerprint"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == set(env["lapack"]) == {"name", "version"}
+        assert all(k.endswith("_NUM_THREADS") for k in env["num_threads_env"])
+        probe = np.random.Generator(np.random.PCG64(2024)).random(2**16)
+        assert env["log_fingerprint"] == \
+            hashlib.sha256(np.log(probe).tobytes()).hexdigest()
+
+    def test_outputs_leave_no_temporary_files(self, tmp_path):
+        run_config(parse_config(mixture_config()), tmp_path / "mlp")
+        run_config(parse_config(TRAINING_GOLDEN["biasvar"][0]),
+                   tmp_path / "bv")
+        assert sorted(p.name for p in (tmp_path / "mlp").iterdir()) == \
+            ["t.csv", "t_manifest.json", "t_traces.csv"]
+        assert sorted(p.name for p in (tmp_path / "bv").iterdir()) == \
+            ["bv_biasvar.csv", "bv_manifest.json"]
+
+    def test_failed_write_leaves_no_file_under_final_name(self, tmp_path,
+                                                          monkeypatch):
+        # an interrupt or a full disk halfway through the CSV write
+        real_write_text = Path.write_text
+
+        def fail_halfway(self, text, *args, **kwargs):
+            real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", fail_halfway)
+        with pytest.raises(OSError, match="disk full"):
+            run_config(parse_config(LINREG_BOTH_VARIANTS), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_epochwise_rows(self, tmp_path):
         raw = mixture_config(experiment="epochwise", variants=["standard"])
