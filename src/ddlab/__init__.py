@@ -26,4 +26,4 @@ from .nnet import (MlpModel, OptimizerConfig, ScheduleConfig, TrainConfig,
 from .records import CurvePoint
 from .rng import Rng, mix_seed
 from .sweep import (ConfigError, SweepConfig, parse_config, run_config,
-                    summarize)
+                    run_sweep, summarize)

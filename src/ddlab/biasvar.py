@@ -148,6 +148,12 @@ class BiasVarianceRow:
     bias_subtraction: float
     identity_residual: float
 
+    def csv_row(self) -> str:
+        values = (self.risk, self.bias_kl, self.variance,
+                  self.bias_subtraction, self.identity_residual)
+        return ",".join([self.config_id, str(self.width), str(self.k)]
+                        + [f"{v:.17g}" for v in values])
+
 
 @dataclass(frozen=True)
 class BiasVarianceReport:
@@ -157,14 +163,7 @@ class BiasVarianceReport:
                   "bias_subtraction,identity_residual")
 
     def csv_lines(self) -> list[str]:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                r.config_id, str(r.width), str(r.k),
-                f"{r.risk:.17g}", f"{r.bias_kl:.17g}", f"{r.variance:.17g}",
-                f"{r.bias_subtraction:.17g}", f"{r.identity_residual:.17g}",
-            ]))
-        return lines
+        return [self.CSV_HEADER] + [r.csv_row() for r in self.rows]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -88,6 +88,11 @@ def read_idx_images(path) -> np.ndarray:
     if len(body) != count * rows * cols:
         raise IdxTruncatedError(
             f"{path}: expected {count * rows * cols} pixel bytes, found {len(body)}")
+    # zero pixels pass that check whatever the other dimensions say, but
+    # numpy cannot shape (or convert to float64) arrays with huge ones
+    if max(count, 1) * max(rows, 1) * max(cols, 1) > np.iinfo(np.intp).max // 8:
+        raise IdxFormatError(
+            f"{path}: dimensions {count} x {rows} x {cols} are too large")
     return np.frombuffer(body, dtype=np.uint8).reshape(count, rows, cols)
 
 

@@ -1,10 +1,12 @@
-"""Experiment orchestration: configs, runners, CSV and manifest output.
+"""Experiment orchestration: configs, cells, CSV and manifest output.
 
 A sweep is described by a JSON config parsed strictly (unknown keys are
-fatal) into the dataclasses below.  Cells are the unit of work and of
-parallelism; their results are collected in canonical order so thread
-count never changes the output bytes, and a failed cell becomes a
-status="failed" row instead of aborting the sweep.
+fatal) into the dataclasses below.  ``RUNNERS`` splits each experiment
+kind into cells, the unit of work, and one loop, ``run_sweep``, runs the
+cells of every kind.  Results are collected in canonical order, so the
+thread count never changes the output bytes (only mlp-width and
+epochwise cells use the pool).  A cell that raises becomes its failed
+rows and a manifest entry instead of aborting the sweep.
 
 Seed discipline: each sweep seed s fans out through mix_seed(s, tag) into
 one stream per purpose (data, label noise, init, training), so the base
@@ -19,6 +21,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -41,8 +44,8 @@ from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
 from .idx import load_idx
 from .linreg import (SWEEP_MATERIALIZE_BUDGET, VARIANT_CONCAT,
                      VARIANT_STANDARD, VARIANTS, linreg_sample_sweep)
-from .nnet import (LOSS_BCE, LOSS_CE, OptimizerConfig, TrainConfig,
-                   TrainingDivergedError, init_mlp, train)
+from .nnet import (LOSS_BCE, LOSS_CE, OptimizerConfig, TrainConfig, init_mlp,
+                   train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
@@ -256,11 +259,10 @@ def validate_config(cfg: SweepConfig) -> None:
         return
     if cfg.data is None or cfg.train is None:
         raise ConfigError(f"{cfg.experiment} needs data and train sections")
-    if cfg.experiment in ("mlp-width", "epochwise", "biasvar"):
-        if not cfg.widths:
-            raise ConfigError(f"{cfg.experiment} needs a nonempty widths grid")
-        if not all(_positive_int(w) for w in cfg.widths):
-            raise ConfigError("widths must hold positive integers")
+    if not cfg.widths:
+        raise ConfigError(f"{cfg.experiment} needs a nonempty widths grid")
+    if not all(_positive_int(w) for w in cfg.widths):
+        raise ConfigError("widths must hold positive integers")
     data = cfg.data
     if data.kind == "mixture":
         for name in ("n", "d", "classes", "separation", "test_n"):
@@ -374,159 +376,152 @@ def dataset_hash(*datasets) -> str:
 
 @dataclass
 class SweepResult:
-    points: list
+    points: list  # CurvePoints; BiasVarianceRows for biasvar
     trace_points: list
     cell_hashes: dict
-    failures: list
-    report: BiasVarianceReport | None = None
+    failures: list  # (cell id, error message)
 
 
-def _train_config(cfg: SweepConfig, seed: int) -> TrainConfig:
-    return cfg.train.to_config(mix_seed(seed, STREAM_TRAIN))
+class Cell(typing.NamedTuple):
+    """``run() -> (points, trace points)``; if it raises, the sweep writes
+    ``failed_rows`` instead.  ``seed`` keys the cell's input hash; linreg
+    cells, which have no base data, have None."""
+
+    id: str
+    seed: int | None
+    failed_rows: list
+    run: typing.Callable
 
 
-def _run_nn_cell(cfg: SweepConfig, variant: str, width: int, seed: int,
-                 train_ds: ClassificationDataset, test_ds: ClassificationDataset):
-    """Train one (variant, width, seed) cell and return its epoch points."""
-    loss = cfg.train.loss
+def _network_cell(cfg: SweepConfig, data, variant: str, width: int, seed: int,
+                  by_width: bool):
+    """Train one (variant, width, seed) cell.  Epochwise: a point per
+    epoch.  Mlp-width (``by_width``): the final epoch on the hidden_units
+    axis, with every epoch as trace points."""
+    train_ds, test_ds = data
+    source = train_ds
     if variant == VARIANT_CONCAT:
-        mode = MODE_MULTI_HOT if loss == LOSS_BCE else MODE_AVERAGED
-        source = ConcatView(train_ds, mode)
-        eval_ds = build_concat_test(test_ds)
-        d_in = 2 * train_ds.dim
-    else:
-        source = train_ds
-        eval_ds = test_ds
-        d_in = train_ds.dim
-    model = init_mlp(d_in, width, train_ds.class_count,
+        mode = MODE_MULTI_HOT if cfg.train.loss == LOSS_BCE else MODE_AVERAGED
+        source, test_ds = ConcatView(train_ds, mode), build_concat_test(test_ds)
+    model = init_mlp(test_ds.dim, width, train_ds.class_count,
                      Rng(mix_seed(seed, STREAM_INIT)))
     params = model.param_count
     ratio = params / train_ds.n  # denominator: pre-concatenation sample count
-    fitted, trace = train(model, source, _train_config(cfg, seed),
-                          eval_sets={"test": eval_ds})
-    points = []
-    for rec in trace.records:
-        points.append(CurvePoint(
-            cfg.experiment_id, variant, "epoch", float(rec.epoch),
-            train_loss=rec.train_loss, train_error=rec.train_error,
-            test_loss=rec.eval_loss["test"],
-            test_error=rec.eval_error.get("test"),
-            seed=seed, params=params, param_sample_ratio=ratio))
-    return fitted, points
+    _, trace = train(model, source,
+                     cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
+                     eval_sets={"test": test_ds})
+    epochs = [CurvePoint(
+        cfg.experiment_id, variant, "epoch", float(rec.epoch),
+        train_loss=rec.train_loss, train_error=rec.train_error,
+        test_loss=rec.eval_loss["test"], test_error=rec.eval_error.get("test"),
+        seed=seed, params=params, param_sample_ratio=ratio)
+        for rec in trace.records]
+    if not by_width:
+        return epochs, []
+    return [dataclasses.replace(epochs[-1], axis_name="hidden_units",
+                                axis_value=float(width))], epochs
 
 
-def _canonical_cells(cfg: SweepConfig):
-    return [(variant, width, seed)
-            for variant in cfg.variants
-            for width in cfg.widths
-            for seed in cfg.seeds]
+def _linreg_cell(cfg: SweepConfig, n: int):
+    return linreg_sample_sweep(
+        cfg.d, cfg.sigma, [n], cfg.seeds, cfg.n_test,
+        variants=tuple(cfg.variants), experiment_id=cfg.experiment_id), []
 
 
-def _run_cells(cfg: SweepConfig, worker, cells):
-    """Run cells on a pool, collecting results in canonical order."""
-    if cfg.threads == 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(worker, cell) for cell in cells]
-        return [f.result() for f in futures]
-
-
-def _nn_sweep(cfg: SweepConfig, final_point_only: bool) -> SweepResult:
-    base = {seed: build_base_data(cfg, seed) for seed in cfg.seeds}
-    hashes = {seed: dataset_hash(*base[seed]) for seed in cfg.seeds}
-    cells = _canonical_cells(cfg)
-
-    def worker(cell):
-        variant, width, seed = cell
-        train_ds, test_ds = base[seed]
-        try:
-            _, points = _run_nn_cell(cfg, variant, width, seed, train_ds, test_ds)
-            return points, None
-        except TrainingDivergedError as exc:
-            return None, str(exc)
-
-    results = _run_cells(cfg, worker, cells)
-    points, trace_points, cell_hashes, failures = [], [], {}, []
-    for cell, (cell_points, error) in zip(cells, results):
-        variant, width, seed = cell
-        cell_id = f"{variant}/w{width}/s{seed}"
-        cell_hashes[cell_id] = hashes[seed]
-        if error is not None:
-            failures.append((cell_id, error))
-            points.append(CurvePoint(
-                cfg.experiment_id, variant,
-                "epoch" if not final_point_only else "hidden_units",
-                float(width) if final_point_only else 0.0,
-                seed=seed, status=STATUS_FAILED))
-            continue
-        if final_point_only:
-            last = cell_points[-1]
-            points.append(CurvePoint(
-                cfg.experiment_id, variant, "hidden_units", float(width),
-                train_loss=last.train_loss, train_error=last.train_error,
-                test_loss=last.test_loss, test_error=last.test_error,
-                seed=seed, params=last.params,
-                param_sample_ratio=last.param_sample_ratio))
-            trace_points.extend(cell_points)
-        else:
-            points.extend(cell_points)
-    return SweepResult(points, trace_points, cell_hashes, failures)
-
-
-def run_mlp_width_sweep(cfg: SweepConfig) -> SweepResult:
-    """Final-epoch point per (variant, width, seed); traces go to a sidecar."""
-    return _nn_sweep(cfg, final_point_only=True)
-
-
-def run_epochwise(cfg: SweepConfig) -> SweepResult:
-    """One point per epoch per (variant, width, seed), axis_name=epoch."""
-    return _nn_sweep(cfg, final_point_only=False)
-
-
-def run_linreg_sweep(cfg: SweepConfig) -> SweepResult:
-    """Per-seed and median points per (variant, n), variant-major.
-
-    Each (n, seed) cell is drawn once and fitted for every variant.  Cells
-    run serially whatever ``threads`` says: two concurrent concat cells near
-    n=100 each hold an n^2 x 2d = 10^4 x 60 pair design, built for the
-    concat train MSE.  On the ``fig1`` grid with three seeds, a 2-thread
-    pool of these cells peaked at 57 MiB RSS against 47 MiB serial (fresh
-    process, single-threaded OpenBLAS).
-    """
-    points = linreg_sample_sweep(
-        cfg.d, cfg.sigma, cfg.n_grid, cfg.seeds, cfg.n_test,
-        variants=tuple(cfg.variants), experiment_id=cfg.experiment_id)
-    return SweepResult(points, [], {}, [])
-
-
-def run_biasvar(cfg: SweepConfig) -> SweepResult:
-    """One split ensemble for the config's single seed, trained serially.
-
-    The k split models of a width train as one stack, in one
-    ``nnet.train`` call, so each 32-row step runs its numpy calls once for
-    all k splits; widths run one after another whatever ``threads`` says,
-    since those steps are bound by numpy call overhead, which the
-    interpreter lock serializes.  On ``biasvar_mixture`` at 20 epochs the
-    25 trainings took 1.24 s as 25 separate calls and 0.51 s as 5 stacked
-    calls (median of 3 on a 2-vCPU VM, single-threaded OpenBLAS).
-    """
-    (seed,) = cfg.seeds
-    train_ds, test_ds = build_base_data(cfg, seed)
+def _biasvar_cell(cfg: SweepConfig, data, width: int, seed: int):
     report = estimate_bias_variance(
-        cfg.widths, train_ds, cfg.splits.k, cfg.splits.split_size, test_ds,
-        _train_config(cfg, seed), base_seed=mix_seed(seed, STREAM_SPLITS),
+        [width], data[0], cfg.splits.k, cfg.splits.split_size, data[1],
+        cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
+        base_seed=mix_seed(seed, STREAM_SPLITS),
         config_id=cfg.experiment_id)
-    result = SweepResult([], [], {"base": dataset_hash(train_ds, test_ds)}, [])
-    result.report = report
-    return result
+    return report.rows, []
+
+
+def linreg_cells(cfg: SweepConfig, base: dict):
+    """One cell per n, fitting every variant on each seed's draw.  A failed
+    n writes a failed row per (variant, seed) and no median.  The draws
+    are a pure function of (seed, n): no base data, no input hash."""
+    for n in cfg.n_grid:
+        failed = [CurvePoint(cfg.experiment_id, variant, "samples", float(n),
+                             seed=seed, status=STATUS_FAILED)
+                  for variant in cfg.variants for seed in cfg.seeds]
+        yield Cell(f"n{n}", None, failed,
+                   functools.partial(_linreg_cell, cfg, n))
+
+
+def network_cells(cfg: SweepConfig, base: dict):
+    """Mlp-width and epochwise: one cell per (variant, width, seed),
+    variant-major, trained on its seed's base data."""
+    by_width = cfg.experiment == "mlp-width"
+    for variant, width, seed in itertools.product(cfg.variants, cfg.widths,
+                                                  cfg.seeds):
+        failed = CurvePoint(
+            cfg.experiment_id, variant, "hidden_units" if by_width else "epoch",
+            float(width) if by_width else 0.0, seed=seed, status=STATUS_FAILED)
+        yield Cell(f"{variant}/w{width}/s{seed}", seed, [failed],
+                   functools.partial(_network_cell, cfg, base[seed], variant,
+                                     width, seed, by_width))
+
+
+def biasvar_cells(cfg: SweepConfig, base: dict):
+    """One report row per width.  The k split models of a width train as
+    one stack, on splits drawn from a fixed seed, so every width sees the
+    same splits.  The report has no status column: a failed width writes
+    no row."""
+    (variant,), (seed,) = cfg.variants, cfg.seeds
+    for width in cfg.widths:
+        yield Cell(f"{variant}/w{width}/s{seed}", seed, [],
+                   functools.partial(_biasvar_cell, cfg, base[seed], width,
+                                     seed))
 
 
 RUNNERS = {
-    "linreg-sample": run_linreg_sweep,
-    "mlp-width": run_mlp_width_sweep,
-    "epochwise": run_epochwise,
-    "biasvar": run_biasvar,
+    "linreg-sample": linreg_cells,
+    "mlp-width": network_cells,
+    "epochwise": network_cells,
+    "biasvar": biasvar_cells,
 }
+# Linreg and biasvar cells run serially whatever ``threads`` says; the
+# README gives the measurements.
+POOLED_KINDS = ("mlp-width", "epochwise")
+
+
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """Run every cell of a sweep, collecting results in canonical order.
+
+    Base data and its hash are built per seed before any cell runs, so a
+    bad data file still raises ``ConfigError``.  A cell that raises
+    becomes its failed rows plus a ``failures`` entry.
+    """
+    seeds = [] if cfg.experiment == "linreg-sample" else cfg.seeds
+    base = {seed: build_base_data(cfg, seed) for seed in seeds}
+    hashes = {seed: dataset_hash(*data) for seed, data in base.items()}
+    cells = list(RUNNERS[cfg.experiment](cfg, base))
+
+    def guarded(cell):
+        try:
+            return cell.run(), None
+        except Exception as exc:  # a failing cell must not stop the sweep
+            return None, f"{type(exc).__name__}: {exc}"
+
+    if cfg.threads == 1 or cfg.experiment not in POOLED_KINDS:
+        outcomes = [guarded(cell) for cell in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            outcomes = list(pool.map(guarded, cells))
+    result = SweepResult([], [], {}, [])
+    for cell, (outcome, error) in zip(cells, outcomes):
+        if cell.seed is not None:
+            result.cell_hashes[cell.id] = hashes[cell.seed]
+        if error is None:
+            result.points.extend(outcome[0])
+            result.trace_points.extend(outcome[1])
+        else:
+            result.failures.append((cell.id, error))
+            result.points.extend(cell.failed_rows)
+    if cfg.experiment == "linreg-sample":  # n-major cells, variant-major CSV
+        result.points.sort(key=lambda p: cfg.variants.index(p.variant))
+    return result
 
 
 # -- aggregation ------------------------------------------------------------------
@@ -584,8 +579,8 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
-def write_points_csv(path, points) -> None:
-    lines = [CSV_HEADER] + [p.csv_row() for p in points]
+def write_points_csv(path, rows, header: str = CSV_HEADER) -> None:
+    lines = [header] + [row.csv_row() for row in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -619,14 +614,13 @@ def run_environment() -> dict:
     return copy.deepcopy(_environment())
 
 
-def write_manifest(path, cfg: SweepConfig, result: SweepResult,
-                   threads: int | None = None) -> None:
+def write_manifest(path, cfg: SweepConfig, result: SweepResult) -> None:
     manifest = {
         "tool_version": __version__,
         "experiment_id": cfg.experiment_id,
         "resolved_config": config_to_dict(cfg),
         "seeds": list(cfg.seeds),
-        "threads": threads if threads is not None else cfg.threads,
+        "threads": cfg.threads,
         "input_hashes": result.cell_hashes,
         "failed_cells": [cell for cell, _ in result.failures],
         "environment": run_environment(),
@@ -638,15 +632,14 @@ def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
     """Run a sweep and write CSV outputs plus the manifest into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = RUNNERS[cfg.experiment](cfg)
-    if cfg.experiment == "biasvar":
-        report_path = out / f"{cfg.experiment_id}_biasvar.csv"
-        _write_atomic(report_path, "\n".join(result.report.csv_lines()) + "\n")
-    else:
-        write_points_csv(out / f"{cfg.experiment_id}.csv", result.points)
-        if result.trace_points:
-            write_points_csv(out / f"{cfg.experiment_id}_traces.csv",
-                             result.trace_points)
+    result = run_sweep(cfg)
+    suffix, header = (("_biasvar", BiasVarianceReport.CSV_HEADER)
+                      if cfg.experiment == "biasvar" else ("", CSV_HEADER))
+    write_points_csv(out / f"{cfg.experiment_id}{suffix}.csv", result.points,
+                     header)
+    if result.trace_points:
+        write_points_csv(out / f"{cfg.experiment_id}_traces.csv",
+                         result.trace_points)
     write_manifest(out / f"{cfg.experiment_id}_manifest.json", cfg, result)
     if verbose:
         for cell, error in result.failures:

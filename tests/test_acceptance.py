@@ -39,7 +39,7 @@ from ddlab.cli import run_gradcheck, run_lift_check
 from ddlab.linreg import median_points
 from ddlab.nnet import LOSS_CE, OptimizerConfig
 from ddlab.records import STATUS_MEDIAN
-from ddlab.sweep import run_mlp_width_sweep
+from ddlab.sweep import run_sweep
 
 GRID = list(range(2, 101, 2))
 SEEDS = list(range(20))
@@ -252,7 +252,7 @@ class TestCriterion8DeskScaleMitigation:
             "presets", "desk_mixture.json").read_text())
         cfg = parse_config(raw)
         started = time.perf_counter()
-        result = run_mlp_width_sweep(cfg)
+        result = run_sweep(cfg)
         elapsed = time.perf_counter() - started
 
         med = summarize(result.points, ["variant", "axis_value"],

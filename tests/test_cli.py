@@ -178,6 +178,21 @@ class TestSweepCommands:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "holds no pixels" in lines[0]
 
+    def test_diverging_biasvar_exits_1_without_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_biasvar_config())
+        proc = run_cli(["biasvar", "-c", str(cfg),
+                        "--set", "train.optimizer.kind=sgd",
+                        "--set", "train.optimizer.lr=1e150",
+                        "-o", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        manifest = json.loads((tmp_path / "out" / "bv_manifest.json")
+                              .read_text())
+        assert manifest["failed_cells"] == ["standard/w2/s1"]
+        assert (tmp_path / "out" / "bv_biasvar.csv").read_text() == (
+            "config_id,width,k,risk,bias_kl,variance,bias_subtraction,"
+            "identity_residual\n")
+
     def test_biasvar_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, tiny_biasvar_config())
         proc = run_cli(["biasvar", "-c", str(cfg), "-o",

@@ -91,6 +91,15 @@ def test_count_mismatch(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("dims", [(0, 2**31, 2**31), (2**31, 2**31, 0)])
+def test_empty_images_with_oversized_dimensions(tmp_path, dims):
+    # zero pixel bytes pass the length check; the shape itself is invalid
+    ip, lp = make_pair(tmp_path, np.zeros((0, 1, 1)), np.zeros(0, dtype=int))
+    ip.write_bytes(struct.pack(">4I", 0x00000803, *dims))
+    with pytest.raises(IdxFormatError, match="too large"):
+        load_idx(ip, lp)
+
+
 def test_zero_images_load_as_an_empty_dataset(tmp_path):
     ip, lp = make_pair(tmp_path, np.zeros((0, 3, 2)), np.zeros(0, dtype=int))
     ds = load_idx(ip, lp)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import ConfigError, CurvePoint, parse_config, run_config, summarize
+from ddlab import (ConfigError, CurvePoint, parse_config, run_config, sweep,
+                   summarize)
+from ddlab.biasvar import BiasVarianceReport
 from ddlab.records import CSV_HEADER
 from ddlab.sweep import (build_base_data, config_to_dict, dataset_hash,
-                         run_mlp_width_sweep, validate_config)
+                         run_sweep, validate_config)
 
 
 LINREG_BOTH_VARIANTS = {
@@ -365,7 +367,7 @@ class TestWidthSweep:
             widths=[1], seeds=[0],
             train={"loss": "ce", "epochs": 1, "batch_size": 16,
                    "optimizer": {"kind": "adam", "lr": 0.003}}))
-        result = run_mlp_width_sweep(cfg)
+        result = run_sweep(cfg)
         assert len(result.points) == 2  # one per variant
         variants = {p.variant for p in result.points}
         assert variants == {"standard", "concat"}
@@ -380,7 +382,7 @@ class TestWidthSweep:
 
     def test_concat_rows_omit_train_error(self):
         cfg = parse_config(mixture_config())
-        result = run_mlp_width_sweep(cfg)
+        result = run_sweep(cfg)
         by_variant = {p.variant: p for p in result.points}
         assert by_variant["standard"].train_error is not None
         assert by_variant["concat"].train_error is None
@@ -388,7 +390,7 @@ class TestWidthSweep:
 
     def test_paired_variants_share_base_data_hash(self):
         cfg = parse_config(mixture_config())
-        result = run_mlp_width_sweep(cfg)
+        result = run_sweep(cfg)
         hashes = {cell: h for cell, h in result.cell_hashes.items()}
         assert hashes["standard/w4/s0"] == hashes["concat/w4/s0"]
 
@@ -397,17 +399,23 @@ class TestWidthSweep:
         raw["train"]["optimizer"] = {"kind": "sgd", "lr": 1e150}
         raw["train"]["epochs"] = 6
         cfg = parse_config(raw)
-        result = run_mlp_width_sweep(cfg)
+        result = run_sweep(cfg)
         assert len(result.failures) == 4
         assert all(p.status == "failed" for p in result.points)
 
-    def test_thread_count_does_not_change_results(self):
-        cfg1 = parse_config(mixture_config(widths=[2, 4], seeds=[0, 1]))
-        cfg2 = parse_config(mixture_config(widths=[2, 4], seeds=[0, 1],
-                                           threads=4))
-        rows1 = [p.csv_row() for p in run_mlp_width_sweep(cfg1).points]
-        rows2 = [p.csv_row() for p in run_mlp_width_sweep(cfg2).points]
-        assert rows1 == rows2
+    @pytest.mark.parametrize("raw", [
+        mixture_config(widths=[2, 4], seeds=[0, 1]),
+        *(raw for raw, _ in TRAINING_GOLDEN.values()),
+        LINREG_BOTH_VARIANTS,
+    ], ids=["mlp-width-two-seeds", *TRAINING_GOLDEN, "linreg"])
+    def test_thread_count_does_not_change_results(self, tmp_path, raw):
+        written = []
+        for threads in (1, 4):
+            out = tmp_path / f"threads{threads}"
+            run_config(parse_config(dict(raw, threads=threads)), out)
+            written.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert written[0] == written[1]
+        assert written[0]
 
 
 class TestOutputs:
@@ -500,6 +508,44 @@ class TestOutputs:
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.glob("*.csv")}
         assert written == digests
+
+    def test_diverging_biasvar_widths_fail_soft(self, tmp_path):
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        raw["train"]["optimizer"] = {"kind": "sgd", "lr": 1e150}
+        result = run_config(parse_config(raw), tmp_path)
+        report = (tmp_path / "bv_biasvar.csv").read_text()
+        assert report.splitlines() == [BiasVarianceReport.CSV_HEADER]
+        manifest = json.loads((tmp_path / "bv_manifest.json").read_text())
+        cells = ["standard/w2/s3", "standard/w4/s3"]
+        assert manifest["failed_cells"] == cells
+        assert sorted(manifest["input_hashes"]) == sorted(cells)
+        assert [cell for cell, _ in result.failures] == cells
+
+    def test_failed_linreg_n_keeps_the_other_rows(self, tmp_path,
+                                                  monkeypatch):
+        clean = run_config(parse_config(LINREG_BOTH_VARIANTS),
+                           tmp_path / "clean").points
+        real_sweep = sweep.linreg_sample_sweep
+
+        def fail_at_six(d, sigma, n_grid, *args, **kwargs):
+            if n_grid == [6]:
+                raise FloatingPointError("boom")
+            return real_sweep(d, sigma, n_grid, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "linreg_sample_sweep", fail_at_six)
+        result = run_config(parse_config(LINREG_BOTH_VARIANTS),
+                            tmp_path / "broken")
+        assert result.failures == [("n6", "FloatingPointError: boom")]
+        at_six = [p for p in result.points if p.axis_value == 6.0]
+        assert [(p.variant, p.seed, p.status) for p in at_six] == [
+            (v, s, "failed") for v in ("standard", "concat") for s in (0, 1)]
+        assert all(p.test_loss is None for p in at_six)
+        assert [p for p in result.points if p.axis_value != 6.0] == \
+            [p for p in clean if p.axis_value != 6.0]
+        manifest = json.loads((tmp_path / "broken" / "lin_manifest.json")
+                              .read_text())
+        assert manifest["failed_cells"] == ["n6"]
+        assert manifest["input_hashes"] == {}
 
     def test_biasvar_report_file(self, tmp_path):
         cfg = parse_config(TRAINING_GOLDEN["biasvar"][0])
