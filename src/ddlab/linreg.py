@@ -17,6 +17,14 @@ by W = n I + 1 1^T, whose square root is sqrt(n) I + (sqrt(2n) - sqrt(n))
 problem like the standard fit, returns psi = 2 phi.  The n^2 x 2d pair
 design is still built, but only for the concat train MSE, which is
 defined over all n^2 pairs.
+
+The concat test MSE is the MSE of [x || x] @ theta_hat over the test set,
+but the [x || x] rows are never built whole: ``_concat_test_mse`` builds
+them ``_TEST_SLICE_ROWS`` at a time through ``build_concat_test``, fills
+one n_test residual vector from the slices and takes one mean over it.
+Its bytes equal the full-copy MSE's, and a cell's working set is then set
+by the n_test x d test set and the n^2 pair design, not by a second,
+twice as wide copy of the test set.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ VARIANTS = (VARIANT_STANDARD, VARIANT_CONCAT)
 # designs (built for the concat train MSE) are megabytes; validate_config
 # rejects grids past this cap before any cell runs
 SWEEP_MATERIALIZE_BUDGET = 6 << 30
+# rows per [x || x] slice of the streamed concat test MSE.  Keep it a
+# multiple of 8: OpenBLAS's gemv kept the full-copy bytes at 512, 1000 and
+# 1024 rows, and changed them in 1 of 400 fig1-sized cells at 333.
+_TEST_SLICE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,23 @@ def _fit_variant(train, variant):
     return model, mse(model, pairs)
 
 
+def _concat_test_mse(model: LinearModel, test: RegressionDataset) -> float:
+    """``mse(model, build_concat_test(test))`` without the whole copy.
+
+    The [x || x] rows are built ``_TEST_SLICE_ROWS`` at a time, each
+    slice's residuals land in one n_test vector, and one mean is taken
+    over it, so the result is bit-equal to the full-copy MSE.
+    """
+    resid = np.empty(test.n)
+    for start in range(0, test.n, _TEST_SLICE_ROWS):
+        stop = start + _TEST_SLICE_ROWS
+        part = build_concat_test(RegressionDataset(test.features[start:stop],
+                                                   test.targets[start:stop]))
+        np.subtract(part.features @ model.theta_hat, part.targets,
+                    out=resid[start:stop])
+    return float(np.mean(resid * resid))
+
+
 def _sweep_cell(d, sigma, n, n_test, seed, variants):
     """One (n, seed) cell: (train MSE, test MSE, params) per variant.
 
@@ -119,8 +148,8 @@ def _sweep_cell(d, sigma, n, n_test, seed, variants):
     nothing, so the stream is the same as drawing all three first, and
     standard and concat share bytes.  The n^2 x 2d pair design, built
     only for the concat train MSE, is thus never alive next to the
-    n_test-row test set or its [x || x] copy.  The concat test MSE stays
-    the MSE of [x || x] @ theta_hat on that copy.
+    n_test-row test set, whose [x || x] rows are built a slice at a time
+    (``_concat_test_mse``).
     """
     rng = Rng(mix_seed(seed, n))
     theta = sample_theta(d, rng)
@@ -130,7 +159,7 @@ def _sweep_cell(d, sigma, n, n_test, seed, variants):
     cells = []
     for variant, (model, train_mse) in zip(variants, fits):
         if variant == VARIANT_CONCAT:
-            test_mse = mse(model, build_concat_test(test))
+            test_mse = _concat_test_mse(model, test)
         else:
             test_mse = mse(model, test)
         cells.append((train_mse, test_mse, model.theta_hat.shape[0]))

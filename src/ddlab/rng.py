@@ -33,11 +33,15 @@ The implementation below is vectorized but reproduces the sequential
 semantics exactly: normal generation peeks ahead on the uniform stream and
 then rewinds the bit generator to consume precisely the uniforms that the
 scalar algorithm would have consumed.  A request is served in blocks of at
-most ``_GAUSS_BLOCK_PAIRS`` candidate pairs, so its temporaries stay near
-L2 size however many deviates it asks for.  Every block but the last is
-consumed whole (its rejected pairs included, exactly as the scalar loop
-would), and only the last one rewinds, so the block size never changes
-the stream.
+most ``_GAUSS_BLOCK_PAIRS`` candidate pairs.  A block's uniforms take
+256 KiB; with s, the acceptance masks and indices, and the accepted s and
+m, a request holds about 0.9 MiB besides its output however many deviates
+it asks for.  (Blocks of 2**16 pairs, sized for their uniforms alone to
+fit L2, held 4.5 MiB with those temporaries.)  Accepted pairs are gathered
+straight into the output and scaled in place there.  Every block but the
+last is consumed whole (its rejected pairs included, exactly as the scalar
+loop would), and only the last one rewinds, so the block size never
+changes the stream.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ import numpy as np
 from numpy.random import Generator, PCG64
 
 _MASK64 = (1 << 64) - 1
-# candidate pairs per vectorized Gaussian block (2 uniforms each, 1 MiB)
-_GAUSS_BLOCK_PAIRS = 1 << 16
+# candidate pairs per vectorized Gaussian block (2 uniforms each, 256 KiB)
+_GAUSS_BLOCK_PAIRS = 1 << 14
 
 
 def _scramble64(x: int) -> int:
@@ -142,11 +146,13 @@ class Rng:
             # suffices, then rewind to the exact consumption point.
             block = min(_GAUSS_BLOCK_PAIRS, max(128, (need * 7) // 10 + 32))
             state = self._bits.state
-            buf = self._gen.uniform(-1.0, 1.0, 2 * block)
-            u = buf[0::2]
-            v = buf[1::2]
-            s = u * u + v * v
-            accepted = np.nonzero((s < 1.0) & (s > 0.0))[0]
+            # -1 + 2u is uniform(-1, 1)'s own arithmetic (2u is exact)
+            uv = self._gen.random(2 * block).reshape(block, 2)
+            uv *= 2.0
+            uv -= 1.0
+            s = uv[:, 0] * uv[:, 0]
+            s += uv[:, 1] * uv[:, 1]
+            accepted = np.flatnonzero((s < 1.0) & (s > 0.0))
             if 2 * accepted.size >= need:
                 pairs = (need + 1) // 2
                 used = int(accepted[pairs - 1]) + 1
@@ -155,17 +161,25 @@ class Rng:
                 accepted = accepted[:pairs]
             else:
                 pairs = accepted.size
-            if pairs:
-                s_acc = s[accepted]
-                m = np.sqrt(-2.0 * np.log(s_acc) / s_acc)
-                produced = np.empty(2 * pairs, dtype=np.float64)
-                produced[0::2] = u[accepted] * m
-                produced[1::2] = v[accepted] * m
-                take = min(2 * pairs, need)
-                out[filled:filled + take] = produced[:take]
-                filled += take
-                if take < 2 * pairs:
-                    self._gauss_cache = float(produced[take])
+            if not pairs:
+                continue
+            s_acc = s[accepted]
+            m = np.log(s_acc)
+            m *= -2.0
+            m /= s_acc
+            np.sqrt(m, out=m)
+            # whole pairs go straight into out; a pair that the end of the
+            # request splits hands its second deviate to the cache
+            whole = min(pairs, need // 2)
+            dest = out[filled:filled + 2 * whole].reshape(whole, 2)
+            np.take(uv, accepted[:whole], axis=0, out=dest, mode="clip")
+            dest *= m[:whole, None]
+            filled += 2 * whole
+            if whole < pairs:
+                u, v = uv[accepted[whole]]
+                out[filled] = u * m[whole]
+                self._gauss_cache = float(v * m[whole])
+                filled += 1
         return out
 
     # -- state snapshot (used by tests) -------------------------------------

@@ -3,10 +3,12 @@
 A sweep is described by a JSON config parsed strictly (unknown keys are
 fatal) into the dataclasses below.  ``RUNNERS`` splits each experiment
 kind into cells, the unit of work, and one loop, ``run_sweep``, runs the
-cells of every kind.  Results are collected in canonical order, so the
-thread count never changes the output bytes (only mlp-width and
-epochwise cells use the pool).  A cell that raises becomes its failed
-rows and a manifest entry instead of aborting the sweep.
+cells of every kind.  With ``threads`` > 1, linreg-sample, mlp-width and
+epochwise cells run on a pool that hands them out from both ends of the
+cell list; biasvar cells stay serial.  Results are collected in canonical
+order, so the thread count never changes the output bytes.  A cell that
+raises becomes its failed rows and a manifest entry instead of aborting
+the sweep.
 
 Seed discipline: each sweep seed s fans out through mix_seed(s, tag) into
 one stream per purpose (data, label noise, init, training), so the base
@@ -27,6 +29,7 @@ import math
 import os
 import platform
 import sys
+import threading
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -291,6 +294,9 @@ def validate_config(cfg: SweepConfig) -> None:
             f"{data.n + data.test_n}: every class needs a row")
     if not 0.0 <= data.noise_fraction <= 1.0:
         raise ConfigError("noise_fraction must be in [0, 1]")
+    if cfg.experiment == "mlp-width" and cfg.train.epochs < 1:
+        raise ConfigError("train.epochs must be >= 1 for mlp-width: each "
+                          "cell reports its final epoch")
     if cfg.experiment == "biasvar":
         if cfg.splits is None:
             raise ConfigError("biasvar needs a splits section")
@@ -481,17 +487,63 @@ RUNNERS = {
     "epochwise": network_cells,
     "biasvar": biasvar_cells,
 }
-# Linreg and biasvar cells run serially whatever ``threads`` says; the
-# README gives the measurements.
-POOLED_KINDS = ("mlp-width", "epochwise")
+# Biasvar cells run serially whatever ``threads`` says: a width's k splits
+# already train as one stack.  The README gives the measurements.
+POOLED_KINDS = ("linreg-sample", "mlp-width", "epochwise")
+
+
+@functools.cache
+def _helpers(count: int, pid: int) -> ThreadPoolExecutor:
+    """A pool of ``count`` threads kept for the life of process ``pid``
+    (a forked child inherits the pool but not its threads).  A thread
+    started anew for each sweep may find its predecessor's malloc arena
+    not yet released and take a fresh one, so peak memory crept up from
+    sweep to sweep; reused threads keep their arenas."""
+    return ThreadPoolExecutor(max_workers=count,
+                              thread_name_prefix="ddlab-cells")
+
+
+def _pooled(run, cells: list, threads: int) -> list:
+    """``[run(cell) for cell in cells]`` on ``threads`` threads, the
+    calling thread among them.
+
+    Cells are handed out from both ends of the list (c0, c_last, c1,
+    c_last-1, ...), so the costliest cells (the largest n, the widest
+    width) run next to the cheapest rather than next to each other.  The
+    caller drains the queue too instead of waiting on it: each thread's
+    malloc arena keeps about the largest working set of the cells it ran,
+    so ``threads`` workers beside an idle caller would hold one such set
+    more than the caller beside ``threads - 1`` workers.
+    """
+    ends = zip(range(len(cells)), reversed(range(len(cells))))
+    order = iter([i for pair in ends for i in pair][:len(cells)])
+    handout = threading.Lock()
+    outcomes = [None] * len(cells)
+
+    def drain():
+        while True:
+            with handout:
+                i = next(order, None)
+            if i is None:
+                return
+            outcomes[i] = run(cells[i])
+
+    pool = _helpers(threads - 1, os.getpid())
+    helpers = [pool.submit(drain) for _ in range(threads - 1)]
+    drain()
+    for helper in helpers:
+        helper.result()
+    return outcomes
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every cell of a sweep, collecting results in canonical order.
 
     Base data and its hash are built per seed before any cell runs, so a
-    bad data file still raises ``ConfigError``.  A cell that raises
-    becomes its failed rows plus a ``failures`` entry.
+    bad data file still raises ``ConfigError``.  Cells of a kind in
+    ``POOLED_KINDS`` run on ``cfg.threads`` threads (``_pooled``), the
+    others one after another.  A cell that raises becomes its failed rows
+    plus a ``failures`` entry.
     """
     seeds = [] if cfg.experiment == "linreg-sample" else cfg.seeds
     base = {seed: build_base_data(cfg, seed) for seed in seeds}
@@ -507,8 +559,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if cfg.threads == 1 or cfg.experiment not in POOLED_KINDS:
         outcomes = [guarded(cell) for cell in cells]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(guarded, cells))
+        outcomes = _pooled(guarded, cells, cfg.threads)
     result = SweepResult([], [], {}, [])
     for cell, (outcome, error) in zip(cells, outcomes):
         if cell.seed is not None:

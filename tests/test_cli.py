@@ -244,6 +244,18 @@ class TestSweepCommands:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_mlp_width_zero_epochs_exit_code_2(self, tmp_path):
+        # an mlp-width cell reports its final epoch, so it needs one
+        proc = run_cli(["mlp-sweep", "-c", "desk_mixture.json",
+                        "--set", "train.epochs=0", "--set", "widths=[2]",
+                        "-o", str(tmp_path / "out")], cwd=str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "train.epochs" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_oversize_concat_grid_exit_code_2(self, tmp_path):
         # the concat pair design at n = 4000, d = 30 needs 7.8 GB: the
         # config is refused before any cell runs, standard cells included

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,9 +201,17 @@ class TestConfigParsing:
         assert str(info.value).startswith(f"{key or path} ")
 
     def test_zero_epochs_allowed(self):
-        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        for name in ("biasvar", "epochwise-sgd"):
+            raw = json.loads(json.dumps(TRAINING_GOLDEN[name][0]))
+            raw["train"]["epochs"] = 0
+            assert parse_config(raw).train.epochs == 0
+
+    def test_zero_epochs_rejected_for_mlp_width(self):
+        # an mlp-width cell reports its final epoch, so it needs one
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["mlp-width-ce-adam"][0]))
         raw["train"]["epochs"] = 0
-        assert parse_config(raw).train.epochs == 0
+        with pytest.raises(ConfigError, match=r"^train\.epochs must be >= 1"):
+            parse_config(raw)
 
     def test_concat_pair_design_over_budget_rejected(self):
         # n^2 (2d + 1) 8 bytes against the 6 GiB budget: at d = 30, n = 3633
@@ -264,9 +275,9 @@ def _optimizer_section():
         "weight_decay": _finite(0.0, 1.0), "schedule": schedule})
 
 
-def _train_section(losses):
+def _train_section(losses, min_epochs=0):
     return st.fixed_dictionaries({"loss": st.sampled_from(losses)}, optional={
-        "epochs": _ints(0), "batch_size": _ints(1), "e_mult": _ints(1),
+        "epochs": _ints(min_epochs), "batch_size": _ints(1), "e_mult": _ints(1),
         "optimizer": _optimizer_section()})
 
 
@@ -315,7 +326,10 @@ def valid_raw_configs(draw, idx_paths):
     else:
         raw.update(widths=draw(st.lists(_ints(1), min_size=1, max_size=4)),
                    data=draw(_data_section(idx_paths)),
-                   train=draw(_train_section(["mse", "ce", "bce"])))
+                   # an mlp-width cell reports its final epoch
+                   train=draw(_train_section(
+                       ["mse", "ce", "bce"],
+                       min_epochs=1 if kind == "mlp-width" else 0)))
     return raw
 
 
@@ -407,7 +421,10 @@ class TestWidthSweep:
         mixture_config(widths=[2, 4], seeds=[0, 1]),
         *(raw for raw, _ in TRAINING_GOLDEN.values()),
         LINREG_BOTH_VARIANTS,
-    ], ids=["mlp-width-two-seeds", *TRAINING_GOLDEN, "linreg"])
+        # n_test past two 1024-row slices of the streamed concat test MSE
+        dict(LINREG_BOTH_VARIANTS, n_test=2100),
+    ], ids=["mlp-width-two-seeds", *TRAINING_GOLDEN, "linreg",
+            "linreg-sliced-test"])
     def test_thread_count_does_not_change_results(self, tmp_path, raw):
         written = []
         for threads in (1, 4):
@@ -416,6 +433,23 @@ class TestWidthSweep:
             written.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
         assert written[0] == written[1]
         assert written[0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_pool_runs_in_a_forked_child(self):
+        # a forked child inherits the parent's cell pool but not its threads
+        cfg = parse_config(dict(LINREG_BOTH_VARIANTS, threads=2))
+        points = run_sweep(cfg).points
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if run_sweep(cfg).points == points else 1)
+        deadline = time.monotonic() + 30
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("a pooled sweep hung in a forked child")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestOutputs:
@@ -533,19 +567,21 @@ class TestOutputs:
             return real_sweep(d, sigma, n_grid, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "linreg_sample_sweep", fail_at_six)
-        result = run_config(parse_config(LINREG_BOTH_VARIANTS),
-                            tmp_path / "broken")
-        assert result.failures == [("n6", "FloatingPointError: boom")]
-        at_six = [p for p in result.points if p.axis_value == 6.0]
-        assert [(p.variant, p.seed, p.status) for p in at_six] == [
-            (v, s, "failed") for v in ("standard", "concat") for s in (0, 1)]
-        assert all(p.test_loss is None for p in at_six)
-        assert [p for p in result.points if p.axis_value != 6.0] == \
-            [p for p in clean if p.axis_value != 6.0]
-        manifest = json.loads((tmp_path / "broken" / "lin_manifest.json")
-                              .read_text())
-        assert manifest["failed_cells"] == ["n6"]
-        assert manifest["input_hashes"] == {}
+        for threads in (1, 2):  # serial, then on the pool
+            out = tmp_path / f"broken{threads}"
+            result = run_config(
+                parse_config(dict(LINREG_BOTH_VARIANTS, threads=threads)), out)
+            assert result.failures == [("n6", "FloatingPointError: boom")]
+            at_six = [p for p in result.points if p.axis_value == 6.0]
+            assert [(p.variant, p.seed, p.status) for p in at_six] == [
+                (v, s, "failed") for v in ("standard", "concat")
+                for s in (0, 1)]
+            assert all(p.test_loss is None for p in at_six)
+            assert [p for p in result.points if p.axis_value != 6.0] == \
+                [p for p in clean if p.axis_value != 6.0]
+            manifest = json.loads((out / "lin_manifest.json").read_text())
+            assert manifest["failed_cells"] == ["n6"]
+            assert manifest["input_hashes"] == {}
 
     def test_biasvar_report_file(self, tmp_path):
         cfg = parse_config(TRAINING_GOLDEN["biasvar"][0])
