@@ -5,12 +5,10 @@ all deterministic under explicit seeds."""
 
 __version__ = "0.1.0"
 
-from .augment import (ConcatView, MemoryBudgetError, PairBatch,
-                      build_concat_test, concat_pair, materialize,
-                      sample_pairs)
-from .biasvar import (BiasVarianceReport, BiasVarianceRow, ProbDist,
-                      decompose_point, estimate_bias_variance, kl,
-                      log_geometric_mean)
+from .augment import (ConcatView, MemoryBudgetError, build_concat_test,
+                      materialize, sample_pairs)
+from .biasvar import (BiasVarianceRow, ProbDist, decompose_point,
+                      estimate_bias_variance, kl, log_geometric_mean)
 from .datagen import (ClassificationDataset, NoiseSpec, RegressionDataset,
                       apply_label_noise, gen_linreg,
                       gen_mixture_classification, one_hot, sample_theta,
@@ -20,9 +18,8 @@ from .idx import (IdxCountMismatchError, IdxFormatError, IdxMagicError,
 from .linreg import (LinearModel, design_rank, linreg_sample_sweep, mse,
                      pinv_solve)
 from .nnet import (MlpModel, OptimizerConfig, ScheduleConfig, TrainConfig,
-                   TrainingDivergedError, TrainTrace, classify_error, forward,
-                   grad_check, init_mlp, lift_model, load_mlp, loss_and_grad,
-                   opt_step, save_mlp, train)
+                   TrainingDivergedError, classify_error, forward, grad_check,
+                   init_mlp, lift_model, loss_and_grad, opt_step, train)
 from .records import CurvePoint
 from .rng import Rng, mix_seed
 from .sweep import (ConfigError, SweepConfig, parse_config, run_config,

@@ -8,14 +8,13 @@ maximum of two one-hot rows so a same-class pair stays a valid {0, 1}
 vector.  Test sets concatenate each input with itself and keep the
 original target.
 
-The view is virtual: element (i, j) is computed on demand in row-major
-(i, j) order and nothing quadratic is ever allocated unless
+The view is virtual: pair (i, j) has the row-major flat index i * n + j,
+``sample_pairs`` draws flat indices and ``ConcatView.batch`` gathers the
+pairs they name, and nothing quadratic is ever allocated unless
 ``materialize`` is called explicitly, which enforces a memory budget.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,33 +33,6 @@ def _combine_targets(t1, t2, mode):
     if mode == MODE_MULTI_HOT:
         return np.maximum(t1, t2)
     raise ValueError(f"unknown target mode {mode!r}")
-
-
-def concat_pair(x1, y1, x2, y2, mode: str = MODE_AVERAGED):
-    """Single augmented example ([x1 || x2], combined target)."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x1.shape != x2.shape:
-        raise ValueError("inputs to concatenate must have equal length")
-    y1 = np.asarray(y1, dtype=np.float64)
-    y2 = np.asarray(y2, dtype=np.float64)
-    if y1.shape != y2.shape:
-        raise ValueError("targets must have equal arity")
-    if mode == MODE_MULTI_HOT:
-        for y in (y1, y2):
-            if not np.all((y == 0.0) | (y == 1.0)):
-                raise ValueError("multi-hot mode requires one-hot targets")
-    target = _combine_targets(y1, y2, mode)
-    if target.ndim == 0:
-        target = float(target)
-    return np.concatenate([x1, x2]), target
-
-
-@dataclass(frozen=True)
-class PairBatch:
-    indices: np.ndarray  # (m, 2) int64 pairs (i, j)
-    features: np.ndarray  # (m, 2d)
-    targets: np.ndarray  # (m,) or (m, c)
 
 
 class ConcatView:
@@ -103,19 +75,15 @@ class ConcatView:
                                   self.mode)
         return features, target
 
-    def batch(self, i_idx, j_idx) -> PairBatch:
-        i_idx = np.asarray(i_idx, dtype=np.int64)
-        j_idx = np.asarray(j_idx, dtype=np.int64)
+    def batch(self, flat):
+        """(features, targets) of the pairs at row-major flat indices:
+        k -> (k // n, k % n)."""
+        i_idx, j_idx = np.divmod(np.asarray(flat, dtype=np.int64), self.base.n)
         features = np.hstack([self.base.features[i_idx],
                               self.base.features[j_idx]])
         targets = _combine_targets(self.base.targets[i_idx],
                                    self.base.targets[j_idx], self.mode)
-        return PairBatch(np.stack([i_idx, j_idx], axis=1), features, targets)
-
-    def batch_flat(self, flat_idx) -> PairBatch:
-        """Batch by row-major flat pair index: k -> (k // n, k % n)."""
-        flat_idx = np.asarray(flat_idx, dtype=np.int64)
-        return self.batch(flat_idx // self.base.n, flat_idx % self.base.n)
+        return features, targets
 
 
 def build_concat_test(base):
@@ -130,8 +98,9 @@ def build_concat_test(base):
     return ClassificationDataset(features, base.targets.copy(), base.mode)
 
 
-def sample_pairs(view: ConcatView, m: int, rng: Rng) -> PairBatch:
-    """m index pairs drawn uniformly without replacement from the n*n grid.
+def sample_pairs(view: ConcatView, m: int, rng: Rng) -> np.ndarray:
+    """m row-major flat pair indices drawn uniformly without replacement
+    from the n*n grid, as an (m,) int64 array for ``ConcatView.batch``.
 
     Flat indices are drawn in blocks from the seeded stream; repeats are
     skipped in draw order until m distinct pairs are collected, so the
@@ -152,7 +121,7 @@ def sample_pairs(view: ConcatView, m: int, rng: Rng) -> PairBatch:
         values, first = np.unique(draws, return_index=True)
         first = np.sort(first[~np.isin(values, chosen)])
         chosen = np.concatenate([chosen, draws[first[:m - chosen.size]]])
-    return view.batch_flat(chosen)
+    return chosen
 
 
 def materialized_bytes(n: int, d: int, target_width: int = 1) -> int:

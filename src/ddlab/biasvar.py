@@ -137,6 +137,10 @@ def decompose_batch(pi_rows: np.ndarray, prediction_stack: np.ndarray):
 # -- split-based estimator ------------------------------------------------------
 
 
+CSV_HEADER = ("config_id,width,k,risk,bias_kl,variance,"
+              "bias_subtraction,identity_residual")
+
+
 @dataclass(frozen=True)
 class BiasVarianceRow:
     config_id: str
@@ -155,17 +159,6 @@ class BiasVarianceRow:
                         + [f"{v:.17g}" for v in values])
 
 
-@dataclass(frozen=True)
-class BiasVarianceReport:
-    rows: list
-
-    CSV_HEADER = ("config_id,width,k,risk,bias_kl,variance,"
-                  "bias_subtraction,identity_residual")
-
-    def csv_lines(self) -> list[str]:
-        return [self.CSV_HEADER] + [r.csv_row() for r in self.rows]
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
@@ -176,7 +169,8 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
                            split_size: int, test_set: ClassificationDataset,
                            train_config, base_seed: int,
                            train_fn=None, config_id: str = "biasvar"):
-    """Split-based empirical decomposition, one report row per width.
+    """Split-based empirical decomposition: a list of ``BiasVarianceRow``s,
+    one per width, in ``widths`` order; ``CSV_HEADER`` heads their rows.
 
     k disjoint splits are drawn once (seeded from base_seed) and reused for
     every width; split j trains with seed mix_seed(base_seed, j).  For every
@@ -229,4 +223,4 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
             risk=mean_risk, bias_kl=mean_bias, variance=mean_var,
             bias_subtraction=mean_risk - mean_var,
             identity_residual=abs(mean_risk - mean_bias - mean_var)))
-    return BiasVarianceReport(rows)
+    return rows

@@ -45,6 +45,9 @@ SWEEP_COMMANDS = {
 }
 
 GRADCHECK_LIMIT = 1e-4
+# gradcheck redraws a model whose hidden pre-activations come this close
+# to a ReLU kink: no finite-difference step is meaningful across one
+KINK_MARGIN = 1e-6
 LIFT_LIMIT = 1e-9
 
 
@@ -145,13 +148,9 @@ def _gradcheck_targets(rng: Rng, kind: str, batch: int, c: int):
     return (rng.random((batch, c)) < 0.5).astype(float)
 
 
-def run_gradcheck(draws: int, eps: float, seed: int, kink_margin: float = 1e-6):
-    """Max relative analytic-vs-central-difference deviation over draws.
-
-    Draws whose hidden pre-activations come within ``kink_margin`` of a
-    ReLU kink are redrawn, since no finite-difference step is meaningful
-    across a kink.
-    """
+def run_gradcheck(draws: int, eps: float, seed: int):
+    """Max relative analytic-vs-central-difference deviation over draws,
+    redrawing any draw within ``KINK_MARGIN`` of a ReLU kink."""
     rng = Rng(seed)
     worst = 0.0
     kinds = list(LOSS_KINDS)
@@ -159,7 +158,7 @@ def run_gradcheck(draws: int, eps: float, seed: int, kink_margin: float = 1e-6):
     while done < draws:
         model, X, c = _random_model_and_batch(rng)
         pre = X @ model.W1.T + model.b1
-        if np.min(np.abs(pre)) < kink_margin:
+        if np.min(np.abs(pre)) < KINK_MARGIN:
             continue
         kind = kinds[done % len(kinds)]
         T = _gradcheck_targets(rng, kind, X.shape[0], c)

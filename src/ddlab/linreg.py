@@ -207,7 +207,3 @@ def linreg_sample_sweep(d: int, sigma: float, n_grid, seeds, n_test: int,
                 params=params, param_sample_ratio=params / n,
                 status=STATUS_MEDIAN))
     return [point for variant_rows in rows for point in variant_rows]
-
-
-def median_points(points) -> list[CurvePoint]:
-    return [p for p in points if p.status == STATUS_MEDIAN]

@@ -18,12 +18,12 @@ slice of them.  ``train`` also allocates one gradient vector per call and
 passes it to ``loss_and_grad(..., out=)`` on every step, so a step
 allocates no new parameter-sized array.
 
-Parameters live in one contiguous float64 vector ``theta`` laid out in
-checkpoint order: W1 (h x d_in, row-major), b1 (h), W2 (c x h, row-major),
-b2 (c).  ``MlpModel.W1`` .. ``b2`` are reshaped views into it, and
-``MlpGrads`` and the optimizer slots use the same layout, so ``copy()`` is
-one copy and an optimizer step is a handful of whole-vector ufunc calls
-instead of a loop over four arrays.
+Parameters live in one contiguous float64 vector ``theta`` laid out as
+W1 (h x d_in, row-major), b1 (h), W2 (c x h, row-major), b2 (c).
+``MlpModel.W1`` .. ``b2`` are reshaped views into it, and ``MlpGrads``
+and the optimizer slots use the same layout, so ``copy()`` is one copy
+and an optimizer step is a handful of whole-vector ufunc calls instead of
+a loop over four arrays.
 
 A model may also be a stack of S models of one shape: ``theta`` then has
 shape (S, P), the fields are views of shape (S, h, d_in), (S, h), (S, c, h)
@@ -42,7 +42,6 @@ sequences of models, datasets and configs.
 from __future__ import annotations
 
 import math
-import struct
 import time
 from dataclasses import dataclass, field, replace
 
@@ -57,9 +56,6 @@ LOSS_MSE = "mse"
 LOSS_CE = "ce"
 LOSS_BCE = "bce"
 LOSS_KINDS = (LOSS_MSE, LOSS_CE, LOSS_BCE)
-
-CHECKPOINT_MAGIC = b"DDLABMLP"
-CHECKPOINT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -160,10 +156,6 @@ class MlpModel(_ParamVector):
 
 class MlpGrads(_ParamVector):
     __slots__ = ()
-
-
-def mlp_param_count(d_in: int, h: int, c: int) -> int:
-    return h * d_in + h + c * h + c
 
 
 def init_mlp(d_in: int, h: int, c: int, rng: Rng) -> MlpModel:
@@ -457,19 +449,6 @@ class EpochRecord:
     seconds: float
 
 
-@dataclass
-class TrainTrace:
-    records: list
-
-    def __len__(self):
-        return len(self.records)
-
-    def final(self) -> EpochRecord:
-        if not self.records:
-            raise ValueError("empty trace")
-        return self.records[-1]
-
-
 def _check_source_mode(source, kind: str):
     if isinstance(source, ConcatView):
         base = source.base
@@ -525,8 +504,7 @@ def _stack_sources(sources, kind: str) -> _DatasetStack:
 def _epoch_buffers(source):
     """Feature and target arrays one epoch of ``source`` is gathered into.
 
-    None for a ConcatView, whose epochs are already gathered by
-    ``sample_pairs``.
+    None for a ConcatView, whose epochs ``ConcatView.batch`` gathers.
     """
     if isinstance(source, ConcatView):
         return None
@@ -549,9 +527,9 @@ def _epoch_batches(source, config: TrainConfig, rngs, buffers):
     if isinstance(source, ConcatView):
         (rng,) = rngs
         m = min(source.n * config.e_mult, source.pair_count)
-        batch = sample_pairs(source, m, rng)
+        features, targets = source.batch(sample_pairs(source, m, rng))
         for lo in range(0, m, bs):
-            yield batch.features[lo:lo + bs], batch.targets[lo:lo + bs]
+            yield features[lo:lo + bs], targets[lo:lo + bs]
         return
     X, T = buffers
     if isinstance(source, _DatasetStack):
@@ -579,18 +557,19 @@ def _per_slice(value, count: int) -> list:
 def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
     """Train a copy of ``model`` on ``source``; the input model is untouched.
 
-    ``eval_sets`` maps names to datasets evaluated after every epoch with
-    the training loss kind (plus argmax error for one-hot sets).  Fully
-    deterministic for a fixed seed.
+    Returns the fitted model and its list of ``EpochRecord``s, one per
+    epoch.  ``eval_sets`` maps names to datasets evaluated after every
+    epoch with the training loss kind (plus argmax error for one-hot
+    sets).  Fully deterministic for a fixed seed.
 
     Given equal-length sequences of models, sources and configs instead,
     the models train as one stack and ``train`` returns a list of fitted
-    models and a list of traces.  The configs may differ only in ``seed``,
-    and the sources must be concrete datasets of one shape.  Slice s draws
-    its epoch permutations from ``Rng(configs[s].seed)``, exactly as a
-    separate call would, and its records equal that call's; ``seconds``
-    is the epoch time of the whole stack.  A non-finite loss in any slice
-    raises ``TrainingDivergedError`` for the stack.
+    models and one record list per slice.  The configs may differ only in
+    ``seed``, and the sources must be concrete datasets of one shape.
+    Slice s draws its epoch permutations from ``Rng(configs[s].seed)``,
+    exactly as a separate call would, and its records equal that call's;
+    ``seconds`` is the epoch time of the whole stack.  A non-finite loss in
+    any slice raises ``TrainingDivergedError`` for the stack.
     """
     stacked = not isinstance(model, MlpModel)
     if stacked:
@@ -648,10 +627,9 @@ def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
                 epoch, train_loss[s], train_error[s],
                 {name: v[s] for name, v in losses.items()},
                 {name: v[s] for name, v in errors.items()}, seconds))
-    traces = [TrainTrace(r) for r in records]
     if stacked:
-        return model.unstack(), traces
-    return model, traces[0]
+        return model.unstack(), records
+    return model, records[0]
 
 
 # -- model lifting ------------------------------------------------------------
@@ -699,39 +677,3 @@ def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
         a = grads.theta[i]
         worst = max(worst, abs(a - fd) / max(1e-8, abs(a) + abs(fd)))
     return worst
-
-
-# -- checkpoints ---------------------------------------------------------------
-#
-# Flat binary container: 16-byte header (magic "DDLABMLP", version u32 LE,
-# hidden units u32 LE), then d_in u32 LE, output count u32 LE, then the
-# parameter blocks W1, b1, W2, b2 as little-endian float64 row-major, which
-# is exactly the model's theta vector.
-
-
-def save_mlp(model: MlpModel, path) -> None:
-    if model.theta.ndim != 1:
-        raise ValueError("a checkpoint holds one model, not a stack")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<2I", CHECKPOINT_VERSION, model.hidden_units))
-        fh.write(struct.pack("<2I", model.d_in, model.n_out))
-        fh.write(model.theta.astype("<f8").tobytes())
-
-
-def load_mlp(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
-    version, h = struct.unpack("<2I", data[8:16])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    d_in, c = struct.unpack("<2I", data[16:24])
-    count = mlp_param_count(d_in, h, c)
-    need = 24 + 8 * count
-    if len(data) != need:
-        raise ValueError(f"{path}: expected {need} bytes, found {len(data)}")
-    theta = np.frombuffer(data, dtype="<f8", count=count, offset=24)
-    return MlpModel._from_theta(theta.astype(np.float64),
-                                [(h, d_in), (h,), (c, h), (c,)])

@@ -25,10 +25,6 @@ def fmt_value(value) -> str:
     """Round-trip cell formatting: 17 significant digits, empty for None."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

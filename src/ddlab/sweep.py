@@ -40,7 +40,8 @@ import numpy as np
 
 from . import __version__
 from .augment import ConcatView, build_concat_test, materialized_bytes
-from .biasvar import BiasVarianceReport, estimate_bias_variance
+from .biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
+from .biasvar import estimate_bias_variance
 from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
                       NoiseSpec, apply_label_noise,
                       gen_mixture_classification)
@@ -135,9 +136,6 @@ class SweepConfig:
     widths: list | None = None
     train: TrainSection | None = None
     splits: SplitsSection | None = None
-
-
-_PRIMITIVES = {int: int, float: (int, float), str: str, bool: bool}
 
 
 def _coerce(value, annotation, path):
@@ -354,8 +352,13 @@ def build_base_data(cfg: SweepConfig, seed: int):
                 raise ConfigError(
                     f"subset size {data.n} exceeds dataset size {train_ds.n}")
             train_ds = train_ds.take(rng.permutation(train_ds.n)[:data.n])
-        if data.test_n is not None and data.test_n < test_ds.n:
-            test_ds = test_ds.take(rng.permutation(test_ds.n)[:data.test_n])
+        if data.test_n is not None:
+            if data.test_n > test_ds.n:
+                raise ConfigError(f"test subset size {data.test_n} exceeds "
+                                  f"test dataset size {test_ds.n}")
+            if data.test_n < test_ds.n:
+                test_ds = test_ds.take(
+                    rng.permutation(test_ds.n)[:data.test_n])
     if data.standardize:
         train_x, test_x = _standardize(train_ds.features, test_ds.features)
         train_ds = ClassificationDataset(train_x, train_ds.targets, train_ds.mode)
@@ -413,15 +416,15 @@ def _network_cell(cfg: SweepConfig, data, variant: str, width: int, seed: int,
                      Rng(mix_seed(seed, STREAM_INIT)))
     params = model.param_count
     ratio = params / train_ds.n  # denominator: pre-concatenation sample count
-    _, trace = train(model, source,
-                     cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
-                     eval_sets={"test": test_ds})
+    _, records = train(model, source,
+                       cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
+                       eval_sets={"test": test_ds})
     epochs = [CurvePoint(
         cfg.experiment_id, variant, "epoch", float(rec.epoch),
         train_loss=rec.train_loss, train_error=rec.train_error,
         test_loss=rec.eval_loss["test"], test_error=rec.eval_error.get("test"),
         seed=seed, params=params, param_sample_ratio=ratio)
-        for rec in trace.records]
+        for rec in records]
     if not by_width:
         return epochs, []
     return [dataclasses.replace(epochs[-1], axis_name="hidden_units",
@@ -435,12 +438,11 @@ def _linreg_cell(cfg: SweepConfig, n: int):
 
 
 def _biasvar_cell(cfg: SweepConfig, data, width: int, seed: int):
-    report = estimate_bias_variance(
+    return estimate_bias_variance(
         [width], data[0], cfg.splits.k, cfg.splits.split_size, data[1],
         cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
         base_seed=mix_seed(seed, STREAM_SPLITS),
-        config_id=cfg.experiment_id)
-    return report.rows, []
+        config_id=cfg.experiment_id), []
 
 
 def linreg_cells(cfg: SweepConfig, base: dict):
@@ -505,7 +507,8 @@ def _helpers(count: int, pid: int) -> ThreadPoolExecutor:
 
 def _pooled(run, cells: list, threads: int) -> list:
     """``[run(cell) for cell in cells]`` on ``threads`` threads, the
-    calling thread among them.
+    calling thread among them, but never more threads than cells: a
+    helper that can get no cell would only hold a malloc arena.
 
     Cells are handed out from both ends of the list (c0, c_last, c1,
     c_last-1, ...), so the costliest cells (the largest n, the widest
@@ -529,7 +532,8 @@ def _pooled(run, cells: list, threads: int) -> list:
             outcomes[i] = run(cells[i])
 
     pool = _helpers(threads - 1, os.getpid())
-    helpers = [pool.submit(drain) for _ in range(threads - 1)]
+    helpers = [pool.submit(drain)
+               for _ in range(min(threads, len(cells)) - 1)]
     drain()
     for helper in helpers:
         helper.result()
@@ -684,7 +688,7 @@ def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_sweep(cfg)
-    suffix, header = (("_biasvar", BiasVarianceReport.CSV_HEADER)
+    suffix, header = (("_biasvar", BIASVAR_CSV_HEADER)
                       if cfg.experiment == "biasvar" else ("", CSV_HEADER))
     write_points_csv(out / f"{cfg.experiment_id}{suffix}.csv", result.points,
                      header)

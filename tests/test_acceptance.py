@@ -36,7 +36,6 @@ from ddlab import (ConcatView, ProbDist, Rng, TrainConfig,
                    mix_seed, one_hot, parse_config, run_config, sample_theta,
                    summarize, write_idx)
 from ddlab.cli import run_gradcheck, run_lift_check
-from ddlab.linreg import median_points
 from ddlab.nnet import LOSS_CE, OptimizerConfig
 from ddlab.records import STATUS_MEDIAN
 from ddlab.sweep import run_sweep
@@ -59,10 +58,12 @@ def _sweep(variant):
     points = linreg_sample_sweep(D, SIGMA, GRID, SEEDS, N_TEST,
                                  variants=(variant,))
     elapsed = time.perf_counter() - started
-    medians = {int(p.axis_value): p.test_loss for p in median_points(points)}
+    medians = {}
     test_by_n = {n: [] for n in GRID}
     for p in points:
-        if p.status != STATUS_MEDIAN:
+        if p.status == STATUS_MEDIAN:
+            medians[int(p.axis_value)] = p.test_loss
+        else:
             test_by_n[int(p.axis_value)].append(p.test_loss)
     return medians, test_by_n, elapsed
 
@@ -231,12 +232,12 @@ class TestCriterion7SplitEstimatorConsistency:
         test_set = full.take(np.arange(2500, 3500))
         cfg = TrainConfig(LOSS_CE, epochs=40, batch_size=32, seed=0,
                           optimizer=OptimizerConfig("adam", lr=0.001))
-        rep = estimate_bias_variance([2, 4, 8, 16, 32], train_set, k=5,
-                                     split_size=500, test_set=test_set,
-                                     train_config=cfg, base_seed=7)
+        rows = estimate_bias_variance([2, 4, 8, 16, 32], train_set, k=5,
+                                      split_size=500, test_set=test_set,
+                                      train_config=cfg, base_seed=7)
         elapsed = time.perf_counter() - started
-        worst = max(abs(r.bias_kl - r.bias_subtraction) for r in rep.rows)
-        ok = worst < 1e-8 and len(rep.rows) == 5 and elapsed < 600.0
+        worst = max(abs(r.bias_kl - r.bias_subtraction) for r in rows)
+        ok = worst < 1e-8 and len(rows) == 5 and elapsed < 600.0
         report(7, ok, f"max |bias_kl - (risk - variance)| = {worst:.2e} over "
                       f"widths {{2,4,8,16,32}}, k=5 (limit 1e-8), "
                       f"runtime {elapsed:.1f}s")

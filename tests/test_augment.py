@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlab import (ClassificationDataset, ConcatView, MemoryBudgetError,
-                   RegressionDataset, Rng, build_concat_test, concat_pair,
+                   RegressionDataset, Rng, build_concat_test,
                    gen_mixture_classification, materialize, one_hot,
                    sample_pairs)
 from ddlab.datagen import MODE_AVERAGED, MODE_MULTI_HOT
@@ -37,40 +37,46 @@ PAIR_KINDS = ("regression", "averaged", "multi_hot")
 
 
 class TestConcatPair:
+    """Pair targets, through ``ConcatView.element``, the single-pair oracle."""
+
     def test_two_hot_from_distinct_one_hots(self):
-        e3, e7 = one_hot([3], 10)[0], one_hot([7], 10)[0]
-        _, target = concat_pair(np.zeros(2), e3, np.ones(2), e7)
+        base = ClassificationDataset(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                     one_hot([3, 7], 10))
+        _, target = ConcatView(base).element(0, 1)
         expected = np.zeros(10)
         expected[3] = expected[7] = 0.5
         np.testing.assert_array_equal(target, expected)
 
     def test_self_pair_keeps_target(self):
-        e2 = one_hot([2], 5)[0]
-        x = np.array([1.0, 2.0])
-        features, target = concat_pair(x, e2, x, e2)
+        e2 = one_hot([2], 5)
+        base = ClassificationDataset(np.array([[1.0, 2.0]]), e2)
+        features, target = ConcatView(base).element(0, 0)
         np.testing.assert_array_equal(features, [1.0, 2.0, 1.0, 2.0])
-        np.testing.assert_array_equal(target, e2)
+        np.testing.assert_array_equal(target, e2[0])
 
     def test_regression_mean(self):
-        _, target = concat_pair(np.zeros(1), 0.2, np.zeros(1), 0.6)
+        base = RegressionDataset(np.zeros((2, 1)), np.array([0.2, 0.6]))
+        _, target = ConcatView(base).element(0, 1)
         assert target == pytest.approx(0.4)
 
     def test_multi_hot_max(self):
-        e1, e3 = one_hot([1], 4)[0], one_hot([3], 4)[0]
-        _, target = concat_pair(np.zeros(1), e1, np.zeros(1), e3,
-                                mode=MODE_MULTI_HOT)
+        targets = one_hot([1, 3], 4)
+        view = ConcatView(ClassificationDataset(np.zeros((2, 1)), targets),
+                          MODE_MULTI_HOT)
+        _, target = view.element(0, 1)
         np.testing.assert_array_equal(target, [0.0, 1.0, 0.0, 1.0])
         # same class stays a valid binary vector
-        _, target = concat_pair(np.zeros(1), e1, np.zeros(1), e1,
-                                mode=MODE_MULTI_HOT)
-        np.testing.assert_array_equal(target, e1)
+        _, target = view.element(0, 0)
+        np.testing.assert_array_equal(target, targets[0])
 
     def test_mixed_modes_rejected(self):
+        soft = ClassificationDataset(np.zeros((2, 1)),
+                                     np.array([[0.5, 0.5], [1.0, 0.0]]))
         with pytest.raises(ValueError):
-            concat_pair(np.zeros(1), np.array([0.5, 0.5]), np.zeros(1),
-                        np.array([1.0, 0.0]), mode=MODE_MULTI_HOT)
+            ConcatView(soft, MODE_MULTI_HOT)
         with pytest.raises(ValueError):
-            concat_pair(np.zeros(2), 1.0, np.zeros(3), 2.0)
+            ConcatView(RegressionDataset(np.zeros((2, 1)), np.zeros(2)),
+                       MODE_MULTI_HOT)
 
 
 class TestConcatView:
@@ -133,14 +139,11 @@ def test_batch_matches_elements(kind, n, d, c, seed, data):
     index = st.integers(0, n - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1,
                                max_size=20))
-    i_idx, j_idx = (list(half) for half in zip(*pairs))
-    batch = view.batch(i_idx, j_idx)
-    np.testing.assert_array_equal(batch.indices,
-                                  np.column_stack([i_idx, j_idx]))
-    for row, (i, j) in enumerate(zip(i_idx, j_idx)):
-        features, target = view.element(i, j)
-        assert np.array_equal(batch.features[row], features)
-        assert np.array_equal(batch.targets[row], target)
+    features, targets = view.batch([i * n + j for i, j in pairs])
+    for row, (i, j) in enumerate(pairs):
+        feature, target = view.element(i, j)
+        assert np.array_equal(features[row], feature)
+        assert np.array_equal(targets[row], target)
 
 
 class TestConcatTest:
@@ -162,29 +165,29 @@ class TestConcatTest:
 class TestSamplePairs:
     def test_exhaustive(self):
         view = ConcatView(tiny_regression())
-        batch = sample_pairs(view, 4, Rng(0))
-        assert {tuple(p) for p in batch.indices.tolist()} == \
-            {(0, 0), (0, 1), (1, 0), (1, 1)}
+        flat = sample_pairs(view, 4, Rng(0))
+        assert flat.shape == (4,) and flat.dtype == np.int64
+        assert set(flat.tolist()) == {0, 1, 2, 3}
 
     def test_without_replacement(self):
         view = ConcatView(tiny_regression())
-        batch = sample_pairs(view, 3, Rng(5))
-        assert len({tuple(p) for p in batch.indices.tolist()}) == 3
+        flat = sample_pairs(view, 3, Rng(5))
+        assert len(set(flat.tolist())) == 3
 
     def test_deterministic(self):
         view = ConcatView(small_classification(n=10))
         a = sample_pairs(view, 25, Rng(3))
         b = sample_pairs(view, 25, Rng(3))
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a, b)
 
     def test_batch_features_match_elements(self):
         view = ConcatView(small_classification(n=7))
-        batch = sample_pairs(view, 12, Rng(1))
-        for row, (i, j) in enumerate(batch.indices.tolist()):
-            features, target = view.element(i, j)
-            np.testing.assert_array_equal(batch.features[row], features)
-            np.testing.assert_array_equal(batch.targets[row], target)
+        flat = sample_pairs(view, 12, Rng(1))
+        features, targets = view.batch(flat)
+        for row, k in enumerate(flat.tolist()):
+            feature, target = view.element(*divmod(k, 7))
+            np.testing.assert_array_equal(features[row], feature)
+            np.testing.assert_array_equal(targets[row], target)
 
     def test_oversized_request(self):
         view = ConcatView(tiny_regression())
@@ -204,7 +207,7 @@ def reference_sample_pairs(view, m, rng):
                 chosen.append(value)
                 if len(chosen) == m:
                     break
-    return view.batch_flat(np.array(chosen, dtype=np.int64))
+    return np.array(chosen, dtype=np.int64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,9 +220,7 @@ def test_sample_pairs_matches_loop_reference(kind, n, seed, data):
     rng, ref_rng = Rng(seed + 1), Rng(seed + 1)
     got = sample_pairs(view, m, rng)
     want = reference_sample_pairs(view, m, ref_rng)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.features, want.features)
-    assert np.array_equal(got.targets, want.targets)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
     assert rng.random() == ref_rng.random()  # same stream position
 
 
@@ -265,12 +266,11 @@ class TestMaterialize:
         view = pair_view(kind, 9, 5, 3, seed=11)
         n = view.n
         ds = materialize(view)
-        batch = view.batch(np.repeat(np.arange(n), n),
-                           np.tile(np.arange(n), n))
-        assert ds.features.dtype == batch.features.dtype
-        assert np.array_equal(ds.features, batch.features)
-        assert ds.targets.shape == batch.targets.shape
-        assert np.array_equal(ds.targets, batch.targets)
+        features, targets = view.batch(np.arange(n * n))
+        assert ds.features.dtype == features.dtype
+        assert np.array_equal(ds.features, features)
+        assert ds.targets.shape == targets.shape
+        assert np.array_equal(ds.targets, targets)
         assert getattr(ds, "mode", MODE_AVERAGED) == view.mode
 
     def test_target_conservation(self):

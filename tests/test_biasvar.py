@@ -8,7 +8,7 @@ from ddlab import (ProbDist, Rng, TrainConfig, decompose_point,
                    estimate_bias_variance, gen_mixture_classification,
                    init_mlp, kl, log_geometric_mean, mix_seed, one_hot,
                    train)
-from ddlab.biasvar import decompose_batch
+from ddlab.biasvar import CSV_HEADER, decompose_batch
 from ddlab.nnet import LOSS_CE, OptimizerConfig
 
 
@@ -139,11 +139,10 @@ class TestEstimator:
     def test_identical_models_give_zero_variance(self):
         full, test = self._data()
         frozen = init_mlp(6, 4, 3, Rng(5))
-        report = estimate_bias_variance(
+        (row,) = estimate_bias_variance(
             [4], full, k=3, split_size=80, test_set=test,
             train_config=None, base_seed=0,
             train_fn=lambda width, splits, seeds: [frozen] * len(splits))
-        row = report.rows[0]
         assert abs(row.variance) < 1e-12
         assert row.identity_residual < 1e-10
 
@@ -151,11 +150,11 @@ class TestEstimator:
         full, test = self._data()
         cfg = TrainConfig(LOSS_CE, epochs=8, batch_size=32, seed=0,
                           optimizer=OptimizerConfig("adam", lr=0.01))
-        report = estimate_bias_variance(
+        rows = estimate_bias_variance(
             [2, 4, 8], full, k=3, split_size=90, test_set=test,
             train_config=cfg, base_seed=77)
-        assert len(report.rows) == 3
-        for row in report.rows:
+        assert [row.width for row in rows] == [2, 4, 8]
+        for row in rows:
             assert row.identity_residual < 1e-8
             assert row.bias_kl >= 0.0 and row.variance >= 0.0
             assert row.bias_subtraction == pytest.approx(row.bias_kl,
@@ -180,7 +179,7 @@ class TestEstimator:
         args = ([2, 5], full, 3, 70, test, cfg, 13)
         stacked = estimate_bias_variance(*args)
         alone = estimate_bias_variance(*args, train_fn=serial)
-        assert stacked.csv_lines() == alone.csv_lines()
+        assert [r.csv_row() for r in stacked] == [r.csv_row() for r in alone]
 
     def test_train_fn_must_return_one_model_per_split(self):
         full, test = self._data()
@@ -202,11 +201,10 @@ class TestEstimator:
     def test_csv_lines(self):
         full, test = self._data()
         frozen = init_mlp(6, 4, 3, Rng(5))
-        report = estimate_bias_variance(
+        (row,) = estimate_bias_variance(
             [4], full, k=2, split_size=80, test_set=test,
             train_config=None, base_seed=0,
             train_fn=lambda width, splits, seeds: [frozen] * len(splits))
-        lines = report.csv_lines()
-        assert lines[0] == ("config_id,width,k,risk,bias_kl,variance,"
-                            "bias_subtraction,identity_residual")
-        assert lines[1].startswith("biasvar-w4,4,2,")
+        assert CSV_HEADER == ("config_id,width,k,risk,bias_kl,variance,"
+                              "bias_subtraction,identity_residual")
+        assert row.csv_row().startswith("biasvar-w4,4,2,")

@@ -153,11 +153,11 @@ class TestSweepCommands:
         assert echo["experiment_id"] == "boom"
         assert "cell standard/w2/s0 failed: " in proc.stderr
 
-    @pytest.mark.parametrize("empty", ["images", "test_images"])
-    def test_idx_pair_without_images_exit_code_2(self, tmp_path, empty):
-        data = {"kind": "idx"}
-        for name, count in (("images", 4), ("test_images", 3)):
-            count = 0 if name == empty else count
+    @staticmethod
+    def _idx_sweep(tmp_path, counts, **data):
+        """Run mlp-sweep on zero-pixel IDX files of the given image counts."""
+        data["kind"] = "idx"
+        for name, count in counts.items():
             ip = tmp_path / f"{name}-idx3"
             lp = tmp_path / f"{name}-idx1"
             write_idx(ip, lp, np.zeros((count, 2, 2), dtype=np.uint8),
@@ -165,18 +165,37 @@ class TestSweepCommands:
             data[name] = str(ip)
             data[name.replace("images", "labels")] = str(lp)
         raw = {
-            "experiment": "mlp-width", "experiment_id": "empty",
+            "experiment": "mlp-width", "experiment_id": "idx",
             "variants": ["standard"], "seeds": [0], "data": data,
             "widths": [2],
             "train": {"loss": "ce", "epochs": 1, "batch_size": 8},
         }
         cfg = write_config(tmp_path, raw)
-        proc = run_cli(["mlp-sweep", "-c", str(cfg), "-o",
+        return run_cli(["mlp-sweep", "-c", str(cfg), "-o",
                         str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("empty", ["images", "test_images"])
+    def test_idx_pair_without_images_exit_code_2(self, tmp_path, empty):
+        counts = {"images": 4, "test_images": 3}
+        counts[empty] = 0
+        proc = self._idx_sweep(tmp_path, counts)
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "holds no pixels" in lines[0]
+
+    @pytest.mark.parametrize("test_n", [5, 3])
+    def test_idx_test_n_past_the_test_file_exit_code_2(self, tmp_path,
+                                                       test_n):
+        proc = self._idx_sweep(tmp_path, {"images": 4, "test_images": 3},
+                               test_n=test_n)
+        if test_n == 3:  # exactly the file's rows: the sweep runs
+            assert proc.returncode == 0, proc.stderr
+            return
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "test subset size 5 exceeds test dataset size 3" in lines[0]
 
     def test_diverging_biasvar_exits_1_without_traceback(self, tmp_path):
         cfg = write_config(tmp_path, tiny_biasvar_config())

@@ -12,7 +12,8 @@ from ddlab import (ConcatView, LinearModel, RegressionDataset, Rng,
                    linreg_sample_sweep, materialize, mix_seed, mse,
                    pinv_solve, sample_theta)
 from ddlab.linreg import (_concat_test_mse, _fit_variant, _svd_cutoff,
-                          _sweep_cell, median_points)
+                          _sweep_cell)
+from ddlab.records import STATUS_MEDIAN
 
 
 def gram_rank_oracle(X):
@@ -315,7 +316,7 @@ class TestSweep:
     def test_row_counts_and_medians(self):
         points = linreg_sample_sweep(5, 0.1, [4, 8], [0, 1, 2], 50)
         assert len(points) == 2 * 3 + 2
-        med = median_points(points)
+        med = [p for p in points if p.status == STATUS_MEDIAN]
         assert [p.axis_value for p in med] == [4.0, 8.0]
         per_seed = [p for p in points if p.status == "ok"]
         assert all(p.seed is not None for p in per_seed)
@@ -323,7 +324,7 @@ class TestSweep:
     def test_overdetermined_regime_value(self):
         # d=30, n=100, sigma=0.1: theory sigma^2 (1 + d/(n-d-1)) ~ 0.0143
         points = linreg_sample_sweep(30, 0.1, [100], list(range(20)), 10_000)
-        med = median_points(points)[0].test_loss
+        (med,) = [p.test_loss for p in points if p.status == STATUS_MEDIAN]
         assert 0.010 <= med <= 0.025
 
     def test_concat_variant_pairs_with_standard(self):

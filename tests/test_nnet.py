@@ -1,8 +1,6 @@
 import math
-import tempfile
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +10,8 @@ from hypothesis import strategies as st
 from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
                    TrainConfig, TrainingDivergedError, build_concat_test,
                    classify_error, forward, gen_mixture_classification,
-                   grad_check, init_mlp, lift_model, load_mlp, loss_and_grad,
-                   one_hot, opt_step, pinv_solve, save_mlp, split_k, train)
+                   grad_check, init_mlp, lift_model, loss_and_grad, one_hot,
+                   opt_step, pinv_solve, split_k, train)
 from ddlab.datagen import ClassificationDataset, RegressionDataset
 from ddlab.nnet import (LOSS_BCE, LOSS_CE, LOSS_MSE, MlpGrads, MlpModel,
                         _DatasetStack, _epoch_batches, _epoch_buffers,
@@ -257,11 +255,6 @@ class TestStack:
         with pytest.raises(ValueError):
             random_model(rng).unstack()
 
-    def test_checkpoint_rejects_a_stack(self, tmp_path):
-        stacked = MlpModel.stack([random_model(Rng(46))] * 2)
-        with pytest.raises(ValueError):
-            save_mlp(stacked, tmp_path / "stack.bin")
-
     def test_classify_error_per_slice(self):
         ds = gen_mixture_classification(60, 4, 3, 4.0, Rng(47))
         models = [init_mlp(4, 5, 3, Rng(s)) for s in range(3)]
@@ -316,21 +309,6 @@ class TestParameterStorage:
         model = random_model(Rng(43))
         with pytest.raises(AttributeError):
             model.W1 = np.zeros((5, 4))
-
-
-@settings(max_examples=30, deadline=None)
-@given(d=st.integers(1, 8), h=st.integers(1, 8), c=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1))
-def test_checkpoint_round_trip_property(d, h, c, seed):
-    model = random_model(Rng(seed), d_in=d, h=h, c=c)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.bin"
-        save_mlp(model, path)
-        back = load_mlp(path)
-    for a, b in zip(model.arrays(), back.arrays()):
-        assert a.shape == b.shape and np.array_equal(a, b)
-    np.testing.assert_array_equal(back.theta, model.theta)
-    back.theta[0] += 1.0  # a loaded model owns writable storage
 
 
 class TestInit:
@@ -710,9 +688,9 @@ class TestTrain:
     def test_zero_epochs(self):
         ds = self._task()
         model = init_mlp(6, 4, 2, Rng(1))
-        fitted, trace = train(model, ds,
-                              TrainConfig(LOSS_CE, 0, 16, seed=2))
-        assert len(trace) == 0
+        fitted, records = train(model, ds,
+                                TrainConfig(LOSS_CE, 0, 16, seed=2))
+        assert records == []
         np.testing.assert_array_equal(fitted.W1, model.W1)
 
     def test_input_model_untouched(self):
@@ -735,8 +713,8 @@ class TestTrain:
         model = init_mlp(6, 16, 2, Rng(4))
         cfg = TrainConfig(LOSS_CE, 200, 32, seed=5,
                           optimizer=OptimizerConfig("adam", lr=0.01))
-        fitted, trace = train(model, ds, cfg)
-        assert trace.final().train_error == 0.0
+        fitted, records = train(model, ds, cfg)
+        assert records[-1].train_error == 0.0
 
     def test_bit_identical_reruns(self):
         ds = self._task()
@@ -744,10 +722,10 @@ class TestTrain:
                           optimizer=OptimizerConfig("adam", lr=0.003))
         runs = []
         for _ in range(2):
-            fitted, trace = train(init_mlp(6, 8, 2, Rng(3)), ds, cfg,
-                                  eval_sets={"test": ds})
-            runs.append((fitted, [r.train_loss for r in trace.records],
-                         [r.eval_loss["test"] for r in trace.records]))
+            fitted, records = train(init_mlp(6, 8, 2, Rng(3)), ds, cfg,
+                                    eval_sets={"test": ds})
+            runs.append((fitted, [r.train_loss for r in records],
+                         [r.eval_loss["test"] for r in records]))
         np.testing.assert_array_equal(runs[0][0].W1, runs[1][0].W1)
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
@@ -758,10 +736,10 @@ class TestTrain:
         ctest = build_concat_test(ds)
         cfg = TrainConfig(LOSS_CE, 4, 16, seed=6, e_mult=2,
                           optimizer=OptimizerConfig("adam", lr=0.01))
-        fitted, trace = train(init_mlp(12, 8, 2, Rng(7)), view, cfg,
-                              eval_sets={"test": ctest})
-        assert trace.final().train_error is None  # soft pair targets
-        assert "test" in trace.final().eval_error
+        fitted, records = train(init_mlp(12, 8, 2, Rng(7)), view, cfg,
+                                eval_sets={"test": ctest})
+        assert records[-1].train_error is None  # soft pair targets
+        assert "test" in records[-1].eval_error
 
     def test_divergence_reports_epoch(self):
         ds = self._task()
@@ -783,10 +761,10 @@ class TestTrain:
         ds = gen_linreg(200, 4, 0.05, theta, Rng(1))
         cfg = TrainConfig("mse", 150, 32, seed=2,
                           optimizer=OptimizerConfig("adam", lr=0.01))
-        fitted, trace = train(init_mlp(4, 16, 1, Rng(3)), ds, cfg,
-                              eval_sets={"test": ds})
-        assert trace.final().train_error is None
-        assert trace.final().eval_loss["test"] < trace.records[0].eval_loss["test"]
+        fitted, records = train(init_mlp(4, 16, 1, Rng(3)), ds, cfg,
+                                eval_sets={"test": ds})
+        assert records[-1].train_error is None
+        assert records[-1].eval_loss["test"] < records[0].eval_loss["test"]
         with pytest.raises(ValueError):
             train(init_mlp(4, 4, 1, Rng(0)), ds,
                   TrainConfig(LOSS_CE, 1, 16, seed=0))
@@ -816,11 +794,11 @@ class TestStackedTrain:
         assert len(fitted) == len(traces) == 3
         for j in range(3):
             np.testing.assert_array_equal(models[j].theta, before[j])
-            alone, trace = train(models[j], splits[j], configs[j],
-                                 eval_sets={"test": test})
+            alone, records = train(models[j], splits[j], configs[j],
+                                   eval_sets={"test": test})
             assert np.array_equal(fitted[j].theta, alone.theta)
-            assert len(traces[j]) == len(trace) == 4
-            for got, want in zip(traces[j].records, trace.records):
+            assert len(traces[j]) == len(records) == 4
+            for got, want in zip(traces[j], records):
                 assert got.epoch == want.epoch
                 assert got.train_loss == want.train_loss
                 assert got.train_error == want.train_error
@@ -836,11 +814,11 @@ class TestStackedTrain:
         models = [init_mlp(3, 4, 1, Rng(80 + j)) for j in range(2)]
         fitted, traces = train(models, splits, configs)
         for j in range(2):
-            alone, trace = train(models[j], splits[j], configs[j])
+            alone, records = train(models[j], splits[j], configs[j])
             assert np.array_equal(fitted[j].theta, alone.theta)
-            assert [r.train_loss for r in traces[j].records] == \
-                [r.train_loss for r in trace.records]
-            assert traces[j].final().train_error is None
+            assert [r.train_loss for r in traces[j]] == \
+                [r.train_loss for r in records]
+            assert traces[j][-1].train_error is None
 
     def test_configs_may_differ_only_in_seed(self):
         splits = self._splits(k=2)
@@ -936,29 +914,3 @@ class TestLift:
         assert lifted.d_in == 14
         h, d, c = 5, 7, 3
         assert lifted.param_count == 2 * h * 2 * d + 2 * h + 2 * h * c + c
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = random_model(Rng(31), d_in=6, h=4, c=3)
-        path = tmp_path / "model.bin"
-        save_mlp(model, path)
-        back = load_mlp(path)
-        for a, b in zip(model.arrays(), back.arrays()):
-            np.testing.assert_array_equal(a, b)
-
-    def test_header_layout(self, tmp_path):
-        model = init_mlp(6, 4, 3, Rng(0))
-        path = tmp_path / "model.bin"
-        save_mlp(model, path)
-        blob = path.read_bytes()
-        assert blob[:8] == b"DDLABMLP"
-        assert int.from_bytes(blob[8:12], "little") == 1
-        assert int.from_bytes(blob[12:16], "little") == 4
-        assert len(blob) == 24 + 8 * model.param_count
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMODEL" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_mlp(path)

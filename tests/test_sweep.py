@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from ddlab import (ConfigError, CurvePoint, parse_config, run_config, sweep,
                    summarize)
-from ddlab.biasvar import BiasVarianceReport
+from ddlab.biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from ddlab.records import CSV_HEADER
 from ddlab.sweep import (build_base_data, config_to_dict, dataset_hash,
                          run_sweep, validate_config)
@@ -389,10 +391,10 @@ class TestWidthSweep:
     def test_param_axis_conversion(self):
         # width h maps to 795h + 10 params for 784-wide inputs and
         # 1579h + 10 for the 1568-wide concatenated inputs
-        from ddlab.nnet import mlp_param_count
+        from ddlab import Rng, init_mlp
         for h in (1, 5, 12):
-            assert mlp_param_count(784, h, 10) == 795 * h + 10
-            assert mlp_param_count(1568, h, 10) == 1579 * h + 10
+            assert init_mlp(784, h, 10, Rng(0)).param_count == 795 * h + 10
+            assert init_mlp(1568, h, 10, Rng(0)).param_count == 1579 * h + 10
 
     def test_concat_rows_omit_train_error(self):
         cfg = parse_config(mixture_config())
@@ -450,6 +452,29 @@ class TestWidthSweep:
                 pytest.fail("a pooled sweep hung in a forked child")
             time.sleep(0.05)
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_pool_starts_no_thread_that_gets_no_cell(self):
+        # pools outlive a sweep, so the threads are counted in a fresh
+        # process: 2 cells at threads 8 need one helper beside the caller
+        raw = dict(LINREG_BOTH_VARIANTS, n_grid=[3, 6])
+        script = "\n".join([
+            "import threading",
+            "from ddlab.sweep import parse_config, run_sweep",
+            f"raw = {raw!r}",
+            "pooled = run_sweep(parse_config(dict(raw, threads=8))).points",
+            "serial = run_sweep(parse_config(dict(raw, threads=1))).points",
+            "print(pooled == serial, sum(t.name.startswith('ddlab-cells')",
+            "                            for t in threading.enumerate()))",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(sweep.__file__).resolve().parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        same, helpers = proc.stdout.split()
+        assert same == "True" and int(helpers) <= 1
 
 
 class TestOutputs:
@@ -548,7 +573,7 @@ class TestOutputs:
         raw["train"]["optimizer"] = {"kind": "sgd", "lr": 1e150}
         result = run_config(parse_config(raw), tmp_path)
         report = (tmp_path / "bv_biasvar.csv").read_text()
-        assert report.splitlines() == [BiasVarianceReport.CSV_HEADER]
+        assert report.splitlines() == [BIASVAR_CSV_HEADER]
         manifest = json.loads((tmp_path / "bv_manifest.json").read_text())
         cells = ["standard/w2/s3", "standard/w4/s3"]
         assert manifest["failed_cells"] == cells
