@@ -92,8 +92,6 @@ def build_concat_test(base):
         raise ValueError("base dataset is empty")
     features = np.hstack([base.features, base.features])
     if isinstance(base, RegressionDataset):
-        # true_theta does not transfer: the doubled parameterization is not
-        # unit norm, so the concatenated set carries no ground-truth vector.
         return RegressionDataset(features, base.targets.copy())
     return ClassificationDataset(features, base.targets.copy(), base.mode)
 

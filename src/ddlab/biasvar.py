@@ -17,11 +17,12 @@ normalization and perturbs row sums by at most c * 1e-300.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .datagen import ClassificationDataset, split_k
+from .records import fmt_value
 from .rng import Rng, mix_seed
 
 PROB_FLOOR = 1e-300
@@ -30,7 +31,6 @@ PROB_FLOOR = 1e-300
 @dataclass(frozen=True)
 class ProbDist:
     p: np.ndarray
-    correction: float = 0.0  # |1 - raw sum| recorded at construction
 
     @staticmethod
     def from_raw(values) -> "ProbDist":
@@ -42,8 +42,7 @@ class ProbDist:
         total = float(values.sum())
         if total <= 0:
             raise ValueError("probabilities must have positive mass")
-        return ProbDist(np.maximum(values / total, PROB_FLOOR),
-                        abs(1.0 - total))
+        return ProbDist(np.maximum(values / total, PROB_FLOOR))
 
     @property
     def arity(self) -> int:
@@ -68,7 +67,7 @@ def log_geometric_mean(dists: list[ProbDist]) -> ProbDist:
     if any(d.arity != arity for d in dists):
         raise ValueError("distributions must share one arity")
     stacked = np.stack([d.p for d in dists])
-    return ProbDist(_log_geo_mean_rows(np.log(stacked)), 0.0)
+    return ProbDist(_log_geo_mean_rows(np.log(stacked)))
 
 
 def _log_geo_mean_rows(log_probs: np.ndarray) -> np.ndarray:
@@ -153,10 +152,7 @@ class BiasVarianceRow:
     identity_residual: float
 
     def csv_row(self) -> str:
-        values = (self.risk, self.bias_kl, self.variance,
-                  self.bias_subtraction, self.identity_residual)
-        return ",".join([self.config_id, str(self.width), str(self.k)]
-                        + [f"{v:.17g}" for v in values])
+        return ",".join(fmt_value(v) for v in astuple(self))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ Subcommands::
 
     ddlab linreg-sweep -c fig1.json [-o DIR] [--set KEY=VALUE] [--threads N]
     ddlab mlp-sweep    -c desk_mixture.json ...
-    ddlab epochwise    -c CONFIG ...
     ddlab biasvar      -c CONFIG ...
     ddlab gradcheck    [--draws N] [--eps E] [--seed S]
     ddlab lift-check   [--draws N] [--seed S]
@@ -40,7 +39,6 @@ from .sweep import ConfigError, parse_config, run_config
 SWEEP_COMMANDS = {
     "linreg-sweep": "linreg-sample",
     "mlp-sweep": "mlp-width",
-    "epochwise": "epochwise",
     "biasvar": "biasvar",
 }
 

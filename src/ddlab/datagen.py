@@ -36,7 +36,6 @@ MODE_MULTI_HOT = "multi_hot"
 class RegressionDataset:
     features: np.ndarray
     targets: np.ndarray
-    true_theta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -46,12 +45,6 @@ class RegressionDataset:
                 f"targets length {self.targets.shape} does not match "
                 f"{self.features.shape[0]} feature rows"
             )
-        if self.true_theta is not None:
-            if self.true_theta.shape != (self.features.shape[1],):
-                raise ValueError("true_theta length must equal feature width")
-            norm = float(np.linalg.norm(self.true_theta))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"true_theta must have unit norm, got {norm}")
 
     @property
     def n(self) -> int:
@@ -60,10 +53,6 @@ class RegressionDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def take(self, indices) -> "RegressionDataset":
-        return RegressionDataset(self.features[indices], self.targets[indices],
-                                 self.true_theta)
 
 
 @dataclass(frozen=True)
@@ -158,7 +147,7 @@ def gen_linreg(n: int, d: int, sigma: float, theta: np.ndarray,
     features = rng.standard_normal((n, d))
     eps = rng.standard_normal(n)
     targets = features @ theta + sigma * eps
-    return RegressionDataset(features, targets, theta)
+    return RegressionDataset(features, targets)
 
 
 def gen_mixture_classification(n: int, d: int, c: int, separation: float,

@@ -444,8 +444,8 @@ class EpochRecord:
     epoch: int
     train_loss: float
     train_error: float | None
-    eval_loss: dict
-    eval_error: dict
+    test_loss: float | None  # None without a test set
+    test_error: float | None  # None unless the test set is one-hot
     seconds: float
 
 
@@ -554,13 +554,13 @@ def _per_slice(value, count: int) -> list:
     return [float(v) for v in np.reshape(value, count)]
 
 
-def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
+def train(model: MlpModel, source, config: TrainConfig, test_set=None):
     """Train a copy of ``model`` on ``source``; the input model is untouched.
 
     Returns the fitted model and its list of ``EpochRecord``s, one per
-    epoch.  ``eval_sets`` maps names to datasets evaluated after every
-    epoch with the training loss kind (plus argmax error for one-hot
-    sets).  Fully deterministic for a fixed seed.
+    epoch.  ``test_set``, if given, is evaluated after every epoch with
+    the training loss kind (plus argmax error if it is one-hot).  Fully
+    deterministic for a fixed seed.
 
     Given equal-length sequences of models, sources and configs instead,
     the models train as one stack and ``train`` returns a list of fitted
@@ -590,7 +590,6 @@ def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
         rngs = [Rng(config.seed)]
         train_one_hot = (isinstance(source, ClassificationDataset)
                          and source.is_one_hot)
-    eval_sets = eval_sets or {}
     count = len(rngs)
     state = make_optim_state(config.optimizer, model)
     buffers = _epoch_buffers(source)
@@ -601,32 +600,33 @@ def train(model: MlpModel, source, config: TrainConfig, eval_sets=None):
         state.lr = config.optimizer.lr_at(epoch)
         total_loss = 0.0
         total_rows = 0
-        try:
-            # overflow in a diverging run is reported via the explicit
-            # non-finite loss check, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
+        test_loss = test_error = None
+        # overflow in a diverging run, in its steps or its evaluation, is
+        # reported via the explicit non-finite loss check, not as numpy
+        # warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
                 for X, T in _epoch_batches(source, config, rngs, buffers):
                     loss, _ = loss_and_grad(model, X, T, config.loss, grads)
                     opt_step(model, grads, state)
                     total_loss += loss * X.shape[-2]
                     total_rows += X.shape[-2]
-        except FloatingPointError as exc:
-            raise TrainingDivergedError(epoch) from exc
-        train_loss = _per_slice(total_loss / total_rows, count)
-        train_error = _per_slice(
-            classify_error(model, source) if train_one_hot else None, count)
-        losses, errors = {}, {}
-        for name, ds in eval_sets.items():
-            losses[name] = _per_slice(
-                eval_loss(model, ds.features, ds.targets, config.loss), count)
-            if isinstance(ds, ClassificationDataset) and ds.is_one_hot:
-                errors[name] = _per_slice(classify_error(model, ds), count)
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(epoch) from exc
+            train_error = (classify_error(model, source) if train_one_hot
+                           else None)
+            if test_set is not None:
+                test_loss = eval_loss(model, test_set.features,
+                                      test_set.targets, config.loss)
+                if (isinstance(test_set, ClassificationDataset)
+                        and test_set.is_one_hot):
+                    test_error = classify_error(model, test_set)
+        rows = zip(_per_slice(total_loss / total_rows, count),
+                   _per_slice(train_error, count),
+                   _per_slice(test_loss, count), _per_slice(test_error, count))
         seconds = time.perf_counter() - started
-        for s, slice_records in enumerate(records):
-            slice_records.append(EpochRecord(
-                epoch, train_loss[s], train_error[s],
-                {name: v[s] for name, v in losses.items()},
-                {name: v[s] for name, v in errors.items()}, seconds))
+        for slice_records, row in zip(records, rows):
+            slice_records.append(EpochRecord(epoch, *row, seconds))
     if stacked:
         return model.unstack(), records
     return model, records[0]

@@ -3,9 +3,9 @@
 A sweep is described by a JSON config parsed strictly (unknown keys are
 fatal) into the dataclasses below.  ``RUNNERS`` splits each experiment
 kind into cells, the unit of work, and one loop, ``run_sweep``, runs the
-cells of every kind.  With ``threads`` > 1, linreg-sample, mlp-width and
-epochwise cells run on a pool that hands them out from both ends of the
-cell list; biasvar cells stay serial.  Results are collected in canonical
+cells of every kind.  With ``threads`` > 1, linreg-sample and mlp-width
+cells run on a pool that hands them out from both ends of the cell list;
+biasvar cells stay serial.  Results are collected in canonical
 order, so the thread count never changes the output bytes.  A cell that
 raises becomes its failed rows and a manifest entry instead of aborting
 the sweep.
@@ -42,18 +42,17 @@ from . import __version__
 from .augment import ConcatView, build_concat_test, materialized_bytes
 from .biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from .biasvar import estimate_bias_variance
-from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
-                      NoiseSpec, apply_label_noise,
-                      gen_mixture_classification)
+from .datagen import (MODE_MULTI_HOT, ClassificationDataset, NoiseSpec,
+                      apply_label_noise, gen_mixture_classification)
 from .idx import load_idx
 from .linreg import (SWEEP_MATERIALIZE_BUDGET, VARIANT_CONCAT,
                      VARIANT_STANDARD, VARIANTS, linreg_sample_sweep)
-from .nnet import (LOSS_BCE, LOSS_CE, OptimizerConfig, TrainConfig, init_mlp,
-                   train)
+from .nnet import (LOSS_BCE, LOSS_CE, LOSS_MSE, OptimizerConfig, TrainConfig,
+                   init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
-EXPERIMENT_KINDS = ("linreg-sample", "mlp-width", "epochwise", "biasvar")
+EXPERIMENT_KINDS = ("linreg-sample", "mlp-width", "biasvar")
 
 # stream tags for mix_seed(seed, tag)
 STREAM_DATA = 1
@@ -221,6 +220,18 @@ def _positive_int(value) -> bool:
 
 
 def validate_config(cfg: SweepConfig) -> None:
+    _validate_sections(cfg)
+    # a repeated seed or grid point would run, and count in the medians, twice
+    for key in ("seeds", "variants", "widths", "n_grid"):
+        seen = set()
+        for value in getattr(cfg, key) or ():
+            if value in seen:
+                raise ConfigError(f"{key} repeats {value!r}: each entry "
+                                  f"must be distinct")
+            seen.add(value)
+
+
+def _validate_sections(cfg: SweepConfig) -> None:
     if cfg.experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment '{cfg.experiment}'")
     if not cfg.experiment_id:
@@ -264,6 +275,9 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError(f"{cfg.experiment} needs a nonempty widths grid")
     if not all(_positive_int(w) for w in cfg.widths):
         raise ConfigError("widths must hold positive integers")
+    if cfg.train.loss == LOSS_MSE:
+        raise ConfigError("train.loss must be ce or bce on network sweeps, "
+                          "whose data is a classification set, got 'mse'")
     data = cfg.data
     if data.kind == "mixture":
         for name in ("n", "d", "classes", "separation", "test_n"):
@@ -322,7 +336,8 @@ def validate_config(cfg: SweepConfig) -> None:
 def _standardize(train_x, test_x):
     mean = train_x.mean(axis=0)
     std = train_x.std(axis=0)
-    std[std == 0.0] = 1.0
+    # centre a constant column but do not scale it: its std is rounding noise
+    std[(train_x == train_x[0]).all(axis=0)] = 1.0
     return (train_x - mean) / std, (test_x - mean) / std
 
 
@@ -402,31 +417,28 @@ class Cell(typing.NamedTuple):
     run: typing.Callable
 
 
-def _network_cell(cfg: SweepConfig, data, variant: str, width: int, seed: int,
-                  by_width: bool):
-    """Train one (variant, width, seed) cell.  Epochwise: a point per
-    epoch.  Mlp-width (``by_width``): the final epoch on the hidden_units
-    axis, with every epoch as trace points."""
+def _network_cell(cfg: SweepConfig, data, variant: str, width: int, seed: int):
+    """Train one (variant, width, seed) cell: its final epoch on the
+    hidden_units axis, with every epoch as trace points.  A concat cell
+    pairs its rows in the target mode ``build_base_data`` chose."""
     train_ds, test_ds = data
     source = train_ds
     if variant == VARIANT_CONCAT:
-        mode = MODE_MULTI_HOT if cfg.train.loss == LOSS_BCE else MODE_AVERAGED
-        source, test_ds = ConcatView(train_ds, mode), build_concat_test(test_ds)
+        source = ConcatView(train_ds, train_ds.mode)
+        test_ds = build_concat_test(test_ds)
     model = init_mlp(test_ds.dim, width, train_ds.class_count,
                      Rng(mix_seed(seed, STREAM_INIT)))
     params = model.param_count
     ratio = params / train_ds.n  # denominator: pre-concatenation sample count
     _, records = train(model, source,
                        cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
-                       eval_sets={"test": test_ds})
+                       test_set=test_ds)
     epochs = [CurvePoint(
         cfg.experiment_id, variant, "epoch", float(rec.epoch),
         train_loss=rec.train_loss, train_error=rec.train_error,
-        test_loss=rec.eval_loss["test"], test_error=rec.eval_error.get("test"),
+        test_loss=rec.test_loss, test_error=rec.test_error,
         seed=seed, params=params, param_sample_ratio=ratio)
         for rec in records]
-    if not by_width:
-        return epochs, []
     return [dataclasses.replace(epochs[-1], axis_name="hidden_units",
                                 axis_value=float(width))], epochs
 
@@ -458,17 +470,15 @@ def linreg_cells(cfg: SweepConfig, base: dict):
 
 
 def network_cells(cfg: SweepConfig, base: dict):
-    """Mlp-width and epochwise: one cell per (variant, width, seed),
-    variant-major, trained on its seed's base data."""
-    by_width = cfg.experiment == "mlp-width"
+    """Mlp-width: one cell per (variant, width, seed), variant-major,
+    trained on its seed's base data."""
     for variant, width, seed in itertools.product(cfg.variants, cfg.widths,
                                                   cfg.seeds):
-        failed = CurvePoint(
-            cfg.experiment_id, variant, "hidden_units" if by_width else "epoch",
-            float(width) if by_width else 0.0, seed=seed, status=STATUS_FAILED)
+        failed = CurvePoint(cfg.experiment_id, variant, "hidden_units",
+                            float(width), seed=seed, status=STATUS_FAILED)
         yield Cell(f"{variant}/w{width}/s{seed}", seed, [failed],
                    functools.partial(_network_cell, cfg, base[seed], variant,
-                                     width, seed, by_width))
+                                     width, seed))
 
 
 def biasvar_cells(cfg: SweepConfig, base: dict):
@@ -486,12 +496,11 @@ def biasvar_cells(cfg: SweepConfig, base: dict):
 RUNNERS = {
     "linreg-sample": linreg_cells,
     "mlp-width": network_cells,
-    "epochwise": network_cells,
     "biasvar": biasvar_cells,
 }
 # Biasvar cells run serially whatever ``threads`` says: a width's k splits
 # already train as one stack.  The README gives the measurements.
-POOLED_KINDS = ("linreg-sample", "mlp-width", "epochwise")
+POOLED_KINDS = ("linreg-sample", "mlp-width")
 
 
 @functools.cache

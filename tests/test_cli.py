@@ -205,6 +205,9 @@ class TestSweepCommands:
                         "-o", str(tmp_path / "out")])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+        # overflow is reported by the non-finite loss check, in training
+        # and evaluation alike, not as numpy warnings
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
         manifest = json.loads((tmp_path / "out" / "bv_manifest.json")
                               .read_text())
         assert manifest["failed_cells"] == ["standard/w2/s1"]
@@ -274,6 +277,48 @@ class TestSweepCommands:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "train.epochs" in lines[0]
         assert not (tmp_path / "out").exists()
+
+    def test_mse_loss_on_network_sweep_exit_code_2(self, tmp_path):
+        # network data is a classification set: mse would fail every cell
+        raw = tiny_biasvar_config()
+        raw["experiment"] = "mlp-width"
+        del raw["splits"]
+        cfg = write_config(tmp_path, raw)
+        proc = run_cli(["mlp-sweep", "-c", str(cfg), "--set", "train.loss=mse",
+                        "-o", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "train.loss" in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override,key", [
+        ("seeds=[0,0,1]", "seeds"), ("n_grid=[4,4]", "n_grid")])
+    def test_repeated_entries_exit_code_2(self, tmp_path, override, key):
+        cfg = write_config(tmp_path, tiny_linreg_config())
+        proc = run_cli(["linreg-sweep", "-c", str(cfg), "--set", override,
+                        "-o", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} "), \
+            proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_epochwise_is_no_experiment(self, tmp_path):
+        # epoch curves are an mlp-sweep's _traces.csv
+        raw = tiny_biasvar_config()
+        raw["experiment"] = "epochwise"
+        del raw["splits"]
+        cfg = write_config(tmp_path, raw)
+        proc = run_cli(["mlp-sweep", "-c", str(cfg)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: unknown experiment 'epochwise'"]
+        # the subcommand is gone too: argparse refuses it
+        assert run_cli(["epochwise", "-c", str(cfg)]).returncode == 2
 
     def test_oversize_concat_grid_exit_code_2(self, tmp_path):
         # the concat pair design at n = 4000, d = 30 needs 7.8 GB: the

@@ -49,10 +49,6 @@ class TestGenLinreg:
         with pytest.raises(ValueError):
             gen_linreg(3, 2, 0.1, np.array([1.0]), Rng(0))
 
-    def test_true_theta_must_be_unit(self):
-        with pytest.raises(ValueError):
-            gen_linreg(3, 2, 0.1, np.array([3.0, 4.0]), Rng(0))
-
 
 class TestMixture:
     def test_equal_split(self):

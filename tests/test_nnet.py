@@ -723,9 +723,9 @@ class TestTrain:
         runs = []
         for _ in range(2):
             fitted, records = train(init_mlp(6, 8, 2, Rng(3)), ds, cfg,
-                                    eval_sets={"test": ds})
+                                    test_set=ds)
             runs.append((fitted, [r.train_loss for r in records],
-                         [r.eval_loss["test"] for r in records]))
+                         [r.test_loss for r in records]))
         np.testing.assert_array_equal(runs[0][0].W1, runs[1][0].W1)
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
@@ -737,9 +737,9 @@ class TestTrain:
         cfg = TrainConfig(LOSS_CE, 4, 16, seed=6, e_mult=2,
                           optimizer=OptimizerConfig("adam", lr=0.01))
         fitted, records = train(init_mlp(12, 8, 2, Rng(7)), view, cfg,
-                                eval_sets={"test": ctest})
+                                test_set=ctest)
         assert records[-1].train_error is None  # soft pair targets
-        assert "test" in records[-1].eval_error
+        assert 0.0 <= records[-1].test_error <= 1.0
 
     def test_divergence_reports_epoch(self):
         ds = self._task()
@@ -762,9 +762,10 @@ class TestTrain:
         cfg = TrainConfig("mse", 150, 32, seed=2,
                           optimizer=OptimizerConfig("adam", lr=0.01))
         fitted, records = train(init_mlp(4, 16, 1, Rng(3)), ds, cfg,
-                                eval_sets={"test": ds})
+                                test_set=ds)
         assert records[-1].train_error is None
-        assert records[-1].eval_loss["test"] < records[0].eval_loss["test"]
+        assert records[-1].test_error is None  # regression targets
+        assert records[-1].test_loss < records[0].test_loss
         with pytest.raises(ValueError):
             train(init_mlp(4, 4, 1, Rng(0)), ds,
                   TrainConfig(LOSS_CE, 1, 16, seed=0))
@@ -789,22 +790,22 @@ class TestStackedTrain:
             opt, lr=0.05, weight_decay=0.01))
         models = [init_mlp(5, 7, 3, Rng(70 + j)) for j in range(3)]
         before = [m.theta.copy() for m in models]
-        fitted, traces = train(models, splits, configs,
-                               eval_sets={"test": test})
+        fitted, traces = train(models, splits, configs, test_set=test)
         assert len(fitted) == len(traces) == 3
         for j in range(3):
             np.testing.assert_array_equal(models[j].theta, before[j])
             alone, records = train(models[j], splits[j], configs[j],
-                                   eval_sets={"test": test})
+                                   test_set=test)
             assert np.array_equal(fitted[j].theta, alone.theta)
             assert len(traces[j]) == len(records) == 4
             for got, want in zip(traces[j], records):
                 assert got.epoch == want.epoch
                 assert got.train_loss == want.train_loss
                 assert got.train_error == want.train_error
-                assert got.eval_loss == want.eval_loss
-                assert got.eval_error == want.eval_error
+                assert got.test_loss == want.test_loss
+                assert got.test_error == want.test_error
                 assert type(got.train_loss) is float
+                assert type(got.test_loss) is float
 
     def test_regression_stack_equals_serial_calls(self):
         from ddlab import gen_linreg, sample_theta
@@ -819,6 +820,7 @@ class TestStackedTrain:
             assert [r.train_loss for r in traces[j]] == \
                 [r.train_loss for r in records]
             assert traces[j][-1].train_error is None
+            assert traces[j][-1].test_loss is None  # no test set
 
     def test_configs_may_differ_only_in_seed(self):
         splits = self._splits(k=2)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import (ConfigError, CurvePoint, parse_config, run_config, sweep,
-                   summarize)
+from ddlab import (ConfigError, CurvePoint, load_idx, parse_config, run_config,
+                   summarize, sweep, write_idx)
 from ddlab.biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from ddlab.records import CSV_HEADER
 from ddlab.sweep import (build_base_data, config_to_dict, dataset_hash,
@@ -60,14 +60,18 @@ TRAINING_GOLDEN = {
         "bce_momentum_traces.csv":
             "28b4979b3d7adb87cd96abb15883dfc3a17b8b7f46e29a2d6b01fa2a5b061b38",
     }),
+    # Once its own experiment kind, whose per-epoch CSV is byte for byte
+    # an mlp-width sweep's traces; the final-epoch table was pinned then.
     "epochwise-sgd": ({
-        "experiment": "epochwise", "experiment_id": "sgd",
+        "experiment": "mlp-width", "experiment_id": "sgd",
         "variants": ["standard", "concat"], "seeds": [2],
         "data": _TINY_MIXTURE, "widths": [4],
         "train": {"loss": "ce", "epochs": 3, "batch_size": 16,
                   "optimizer": {"kind": "sgd", "lr": 0.1}},
     }, {
         "sgd.csv":
+            "2b45cfee1324467b770b5168c0a91cd0d954e622a6a8f90dbe1cb65690e3b9dd",
+        "sgd_traces.csv":
             "6aa47789cae3be9e428def632697a6e5bf2a2f9753338fbcc5cffa69a8cc5b10",
     }),
     "biasvar": ({
@@ -203,16 +207,42 @@ class TestConfigParsing:
         assert str(info.value).startswith(f"{key or path} ")
 
     def test_zero_epochs_allowed(self):
-        for name in ("biasvar", "epochwise-sgd"):
-            raw = json.loads(json.dumps(TRAINING_GOLDEN[name][0]))
-            raw["train"]["epochs"] = 0
-            assert parse_config(raw).train.epochs == 0
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        raw["train"]["epochs"] = 0
+        assert parse_config(raw).train.epochs == 0
 
     def test_zero_epochs_rejected_for_mlp_width(self):
         # an mlp-width cell reports its final epoch, so it needs one
         raw = json.loads(json.dumps(TRAINING_GOLDEN["mlp-width-ce-adam"][0]))
         raw["train"]["epochs"] = 0
         with pytest.raises(ConfigError, match=r"^train\.epochs must be >= 1"):
+            parse_config(raw)
+
+    def test_epochwise_kind_is_gone(self):
+        # epoch curves are an mlp-width sweep's _traces.csv
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["epochwise-sgd"][0]))
+        raw["experiment"] = "epochwise"
+        with pytest.raises(ConfigError, match="unknown experiment 'epochwise'"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("key,value,repeated", [
+        ("seeds", [0, 0, 1], "0"), ("variants", ["concat", "concat"], "'concat'"),
+        ("n_grid", [4, 4], "4"), ("widths", [2, 3, 2], "2")])
+    def test_repeated_entries_rejected(self, key, value, repeated):
+        # a repeated seed or grid point would run, and count, twice
+        base = LINREG_BOTH_VARIANTS if key == "n_grid" else mixture_config()
+        raw = json.loads(json.dumps(dict(base, **{key: value})))
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == (
+            f"{key} repeats {repeated}: each entry must be distinct")
+
+    @pytest.mark.parametrize("kind", ["mlp-width", "biasvar"])
+    def test_mse_loss_rejected_on_network_sweeps(self, kind):
+        golden = "biasvar" if kind == "biasvar" else "mlp-width-ce-adam"
+        raw = json.loads(json.dumps(TRAINING_GOLDEN[golden][0]))
+        raw["train"]["loss"] = "mse"
+        with pytest.raises(ConfigError, match=r"^train\.loss must be ce or bce"):
             parse_config(raw)
 
     def test_concat_pair_design_over_budget_rejected(self):
@@ -302,8 +332,7 @@ def _data_section(draw, idx_paths, min_n=1):
 
 @st.composite
 def valid_raw_configs(draw, idx_paths):
-    kind = draw(st.sampled_from(["linreg-sample", "mlp-width", "epochwise",
-                                 "biasvar"]))
+    kind = draw(st.sampled_from(["linreg-sample", "mlp-width", "biasvar"]))
     raw = {"experiment": kind,
            "experiment_id": draw(st.text(min_size=1, max_size=8))}
     raw.update(draw(st.fixed_dictionaries({}, optional={
@@ -312,26 +341,28 @@ def valid_raw_configs(draw, idx_paths):
         k, split_size = draw(_ints(1, 5)), draw(_ints(1, 40))
         raw.update(seeds=[draw(st.integers(0, 2**32))],
                    variants=["standard"],
-                   widths=draw(st.lists(_ints(1), min_size=1, max_size=4)),
+                   widths=draw(st.lists(_ints(1), min_size=1, max_size=4,
+                                        unique=True)),
                    splits={"k": k, "split_size": split_size},
                    data=draw(_data_section(idx_paths, min_n=k * split_size)),
                    train=draw(_train_section(["ce"])))
         return raw
+    # seeds, variants, widths and n_grid must not repeat an entry
     raw.update(seeds=draw(st.lists(st.integers(0, 2**32), min_size=1,
-                                   max_size=4)),
+                                   max_size=4, unique=True)),
                variants=draw(st.lists(st.sampled_from(["standard", "concat"]),
-                                      min_size=1, max_size=2)))
+                                      min_size=1, max_size=2, unique=True)))
     if kind == "linreg-sample":
         raw.update(d=draw(_ints(1)), sigma=draw(_finite(0.0, 10.0)),
-                   n_grid=draw(st.lists(_ints(1), min_size=1, max_size=5)),
+                   n_grid=draw(st.lists(_ints(1), min_size=1, max_size=5,
+                                        unique=True)),
                    n_test=draw(_ints(1)))
     else:
-        raw.update(widths=draw(st.lists(_ints(1), min_size=1, max_size=4)),
+        raw.update(widths=draw(st.lists(_ints(1), min_size=1, max_size=4,
+                                        unique=True)),
                    data=draw(_data_section(idx_paths)),
                    # an mlp-width cell reports its final epoch
-                   train=draw(_train_section(
-                       ["mse", "ce", "bce"],
-                       min_epochs=1 if kind == "mlp-width" else 0)))
+                   train=draw(_train_section(["ce", "bce"], min_epochs=1)))
     return raw
 
 
@@ -425,15 +456,17 @@ class TestWidthSweep:
         LINREG_BOTH_VARIANTS,
         # n_test past two 1024-row slices of the streamed concat test MSE
         dict(LINREG_BOTH_VARIANTS, n_test=2100),
+        mixture_config(widths=[2, 4], data=dict(_TINY_MIXTURE,
+                                                standardize=True)),
     ], ids=["mlp-width-two-seeds", *TRAINING_GOLDEN, "linreg",
-            "linreg-sliced-test"])
+            "linreg-sliced-test", "mlp-width-standardize"])
     def test_thread_count_does_not_change_results(self, tmp_path, raw):
         written = []
-        for threads in (1, 4):
+        for threads in (1, 2, 4):
             out = tmp_path / f"threads{threads}"
             run_config(parse_config(dict(raw, threads=threads)), out)
             written.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
         assert written[0]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -535,13 +568,18 @@ class TestOutputs:
             run_config(parse_config(LINREG_BOTH_VARIANTS), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_epochwise_rows(self, tmp_path):
-        raw = mixture_config(experiment="epochwise", variants=["standard"])
+    def test_traces_hold_one_row_per_epoch(self, tmp_path):
+        # one width gives one epoch-wise curve per variant and seed
+        raw = mixture_config(variants=["standard"])
         raw["train"]["epochs"] = 3
-        cfg = parse_config(raw)
-        result = run_config(cfg, tmp_path)
-        assert [p.axis_value for p in result.points] == [1.0, 2.0, 3.0]
-        assert all(p.axis_name == "epoch" for p in result.points)
+        result = run_config(parse_config(raw), tmp_path)
+        assert [p.axis_value for p in result.trace_points] == [1.0, 2.0, 3.0]
+        assert all(p.axis_name == "epoch" for p in result.trace_points)
+        assert [(p.axis_name, p.axis_value) for p in result.points] == \
+            [("hidden_units", 4.0)]
+        final = dataclasses.replace(result.points[0], axis_name="epoch",
+                                    axis_value=3.0)
+        assert final == result.trace_points[-1]
 
     def test_linreg_csv(self, tmp_path):
         cfg = parse_config(LINREG_BOTH_VARIANTS)
@@ -614,6 +652,50 @@ class TestOutputs:
         lines = (tmp_path / "bv_biasvar.csv").read_text().splitlines()
         assert lines[0].startswith("config_id,width,k,")
         assert len(lines) == 3
+
+
+class TestStandardize:
+    def test_train_statistics_scale_both_sets(self):
+        raw = mixture_config()
+        plain_train, plain_test = build_base_data(parse_config(raw), 0)
+        raw["data"]["standardize"] = True
+        train_ds, test_ds = build_base_data(parse_config(raw), 0)
+        np.testing.assert_allclose(train_ds.features.mean(axis=0), 0.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(train_ds.features.std(axis=0), 1.0,
+                                   rtol=1e-12)
+        mean = plain_train.features.mean(axis=0)
+        std = plain_train.features.std(axis=0)
+        np.testing.assert_array_equal(test_ds.features,
+                                      (plain_test.features - mean) / std)
+        np.testing.assert_array_equal(test_ds.targets, plain_test.targets)
+
+    def test_zero_variance_column_is_centred_but_not_scaled(self, tmp_path):
+        # pixel 0 is 7 in every train image; the test images vary there
+        rng = np.random.default_rng(0)
+        data = {"kind": "idx", "standardize": True}
+        for name, count in (("images", 12), ("test_images", 5)):
+            pixels = rng.integers(0, 256, (count, 2, 2), dtype=np.uint8)
+            if name == "images":
+                pixels[:, 0, 0] = 7
+            write_idx(tmp_path / name, tmp_path / f"{name}_labels", pixels,
+                      np.arange(count) % 3)
+            data[name] = str(tmp_path / name)
+            data[name.replace("images", "labels")] = \
+                str(tmp_path / f"{name}_labels")
+        raw = mixture_config(data=data)
+        train_ds, test_ds = build_base_data(parse_config(raw), 0)
+        raw_train = load_idx(data["images"], data["labels"])
+        raw_test = load_idx(data["test_images"], data["test_labels"])
+        # the mean of 12 rows of 7/255 is off by rounding: the column's
+        # std reads 3.5e-18, not 0, and the centred column is not all 0
+        mean = raw_train.features.mean(axis=0)[0]
+        np.testing.assert_array_equal(train_ds.features[:, 0],
+                                      raw_train.features[:, 0] - mean)
+        np.testing.assert_array_equal(test_ds.features[:, 0],
+                                      raw_test.features[:, 0] - mean)
+        np.testing.assert_allclose(train_ds.features[:, 1:].std(axis=0), 1.0,
+                                   rtol=1e-12)
 
 
 class TestPresets:
