@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -34,7 +35,7 @@ import numpy as np
 from .idx import IdxFormatError, inspect_idx
 from .nnet import LOSS_KINDS, forward, grad_check, init_mlp, lift_model
 from .rng import Rng
-from .sweep import ConfigError, parse_config, run_config
+from .sweep import ConfigError, config_to_dict, parse_config, run_config
 
 SWEEP_COMMANDS = {
     "linreg-sweep": "linreg-sample",
@@ -116,7 +117,6 @@ def _run_sweep_command(command: str, args) -> int:
         raise ConfigError(
             f"config experiment '{cfg.experiment}' does not match "
             f"subcommand '{command}'")
-    from .sweep import config_to_dict
     print(json.dumps(config_to_dict(cfg), indent=2))
     out_dir = cfg.out_dir or f"runs/{cfg.experiment_id}"
     result = run_config(cfg, out_dir, verbose=args.verbose)
@@ -211,6 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # no draws, or a step that is not finite and > 0, checks nothing
+        if args.command in ("gradcheck", "lift-check") and args.draws < 1:
+            raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+        if args.command == "gradcheck" and not 0 < args.eps < math.inf:
+            raise ConfigError(f"--eps must be a finite number > 0, "
+                              f"got {args.eps}")
         if args.command in SWEEP_COMMANDS:
             return _run_sweep_command(args.command, args)
         if args.command == "gradcheck":

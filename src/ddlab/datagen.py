@@ -101,7 +101,8 @@ class ClassificationDataset:
 
     def with_mode(self, mode: str) -> "ClassificationDataset":
         """Re-declare the target mode (targets must satisfy its invariant)."""
-        return ClassificationDataset(self.features, self.targets, mode)
+        return self if mode == self.mode else ClassificationDataset(
+            self.features, self.targets, mode)
 
 
 @dataclass(frozen=True)

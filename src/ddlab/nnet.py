@@ -48,14 +48,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .augment import ConcatView, sample_pairs
-from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
-                      RegressionDataset)
+from .datagen import MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset
 from .rng import Rng
 
 LOSS_MSE = "mse"
 LOSS_CE = "ce"
 LOSS_BCE = "bce"
 LOSS_KINDS = (LOSS_MSE, LOSS_CE, LOSS_BCE)
+# train's losses (classification data only) and the target mode each needs
+TRAIN_LOSS_MODES = {LOSS_CE: MODE_AVERAGED, LOSS_BCE: MODE_MULTI_HOT}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -432,8 +433,8 @@ class TrainConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        _require(self.loss in LOSS_KINDS, "loss",
-                 f"one of {', '.join(LOSS_KINDS)}", self.loss)
+        _require(self.loss in TRAIN_LOSS_MODES, "loss", "ce or bce",
+                 self.loss)
         _require(self.epochs >= 0, "epochs", ">= 0", self.epochs)
         _require(self.batch_size >= 1, "batch_size", ">= 1", self.batch_size)
         _require(self.e_mult >= 1, "e_mult", ">= 1", self.e_mult)
@@ -450,23 +451,11 @@ class EpochRecord:
 
 
 def _check_source_mode(source, kind: str):
-    if isinstance(source, ConcatView):
-        base = source.base
-        mode = source.mode if isinstance(base, ClassificationDataset) else None
-    elif isinstance(source, ClassificationDataset):
-        mode = source.mode
-    else:
-        mode = None
-    if mode is None:
-        if kind != LOSS_MSE:
-            raise ValueError("regression sources train with the mse loss")
-        return
-    if kind == LOSS_MSE:
-        raise ValueError("mse loss expects a regression source")
-    if kind == LOSS_CE and mode != MODE_AVERAGED:
-        raise ValueError("ce loss needs sum-to-one targets")
-    if kind == LOSS_BCE and mode != MODE_MULTI_HOT:
-        raise ValueError("bce loss needs multi-hot targets")
+    base = source.base if isinstance(source, ConcatView) else source
+    if not isinstance(base, ClassificationDataset):
+        raise ValueError("a network trains on classification data")
+    if source.mode != TRAIN_LOSS_MODES[kind]:
+        raise ValueError(f"{kind} loss needs {TRAIN_LOSS_MODES[kind]} targets")
 
 
 @dataclass(frozen=True)
@@ -474,7 +463,7 @@ class _DatasetStack:
     """Concrete datasets of one shape, stacked on a leading slice axis."""
 
     features: np.ndarray  # (S, n, d)
-    targets: np.ndarray  # (S, n, c); regression targets get c = 1
+    targets: np.ndarray  # (S, n, c)
     is_one_hot: bool
 
     @property
@@ -484,20 +473,18 @@ class _DatasetStack:
 
 def _stack_sources(sources, kind: str) -> _DatasetStack:
     first = sources[0]
-    if not isinstance(first, (ClassificationDataset, RegressionDataset)):
-        raise ValueError("a stack trains on concrete datasets")
     for source in sources:
-        if (type(source) is not type(first)
-                or source.features.shape != first.features.shape
+        if not isinstance(source, ClassificationDataset):
+            raise ValueError("stacks train on concrete classification data")
+        if (source.features.shape != first.features.shape
                 or source.targets.shape != first.targets.shape):
             raise ValueError("stacked sources must be datasets of one shape")
         _check_source_mode(source, kind)
-    one_hot = {isinstance(s, ClassificationDataset) and s.is_one_hot
-               for s in sources}
+    one_hot = {s.is_one_hot for s in sources}
     if len(one_hot) != 1:
         raise ValueError("stacked sources must be all one-hot or none")
     return _DatasetStack(np.stack([s.features for s in sources]),
-                         np.stack([s.targets.reshape(s.n, -1) for s in sources]),
+                         np.stack([s.targets for s in sources]),
                          one_hot.pop())
 
 
@@ -565,7 +552,7 @@ def train(model: MlpModel, source, config: TrainConfig, test_set=None):
     Given equal-length sequences of models, sources and configs instead,
     the models train as one stack and ``train`` returns a list of fitted
     models and one record list per slice.  The configs may differ only in
-    ``seed``, and the sources must be concrete datasets of one shape.
+    ``seed``, and the sources must be classification datasets of one shape.
     Slice s draws its epoch permutations from ``Rng(configs[s].seed)``,
     exactly as a separate call would, and its records equal that call's;
     ``seconds`` is the epoch time of the whole stack.  A non-finite loss in
@@ -583,13 +570,11 @@ def train(model: MlpModel, source, config: TrainConfig, test_set=None):
         model = MlpModel.stack(models)
         source = _stack_sources(sources, config.loss)
         rngs = [Rng(c.seed) for c in configs]
-        train_one_hot = source.is_one_hot
     else:
         _check_source_mode(source, config.loss)
         model = model.copy()
         rngs = [Rng(config.seed)]
-        train_one_hot = (isinstance(source, ClassificationDataset)
-                         and source.is_one_hot)
+    train_one_hot = not isinstance(source, ConcatView) and source.is_one_hot
     count = len(rngs)
     state = make_optim_state(config.optimizer, model)
     buffers = _epoch_buffers(source)
@@ -618,8 +603,7 @@ def train(model: MlpModel, source, config: TrainConfig, test_set=None):
             if test_set is not None:
                 test_loss = eval_loss(model, test_set.features,
                                       test_set.targets, config.loss)
-                if (isinstance(test_set, ClassificationDataset)
-                        and test_set.is_one_hot):
+                if test_set.is_one_hot:
                     test_error = classify_error(model, test_set)
         rows = zip(_per_slice(total_loss / total_rows, count),
                    _per_slice(train_error, count),

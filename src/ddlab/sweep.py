@@ -42,12 +42,12 @@ from . import __version__
 from .augment import ConcatView, build_concat_test, materialized_bytes
 from .biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from .biasvar import estimate_bias_variance
-from .datagen import (MODE_MULTI_HOT, ClassificationDataset, NoiseSpec,
-                      apply_label_noise, gen_mixture_classification)
+from .datagen import (ClassificationDataset, NoiseSpec, apply_label_noise,
+                      gen_mixture_classification)
 from .idx import load_idx
 from .linreg import (SWEEP_MATERIALIZE_BUDGET, VARIANT_CONCAT,
                      VARIANT_STANDARD, VARIANTS, linreg_sample_sweep)
-from .nnet import (LOSS_BCE, LOSS_CE, LOSS_MSE, OptimizerConfig, TrainConfig,
+from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, OptimizerConfig, TrainConfig,
                    init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
@@ -275,9 +275,6 @@ def _validate_sections(cfg: SweepConfig) -> None:
         raise ConfigError(f"{cfg.experiment} needs a nonempty widths grid")
     if not all(_positive_int(w) for w in cfg.widths):
         raise ConfigError("widths must hold positive integers")
-    if cfg.train.loss == LOSS_MSE:
-        raise ConfigError("train.loss must be ce or bce on network sweeps, "
-                          "whose data is a classification set, got 'mse'")
     data = cfg.data
     if data.kind == "mixture":
         for name in ("n", "d", "classes", "separation", "test_n"):
@@ -342,7 +339,8 @@ def _standardize(train_x, test_x):
 
 
 def build_base_data(cfg: SweepConfig, seed: int):
-    """(train, test) pair for one sweep seed, label noise already applied.
+    """(train, test) pair for one sweep seed, label noise already applied,
+    in the target mode the train loss needs (``nnet.TRAIN_LOSS_MODES``).
 
     Mixture data draws train and test rows from a single generator call so
     they share class means; test rows never receive label noise.
@@ -361,6 +359,14 @@ def build_base_data(cfg: SweepConfig, seed: int):
             if ds.features.size == 0:
                 raise ConfigError(f"{path}: holds no pixels "
                                   f"(image count, rows or cols is 0)")
+        # a model fitted on the train files must read the test files
+        if train_ds.dim != test_ds.dim:
+            raise ConfigError(f"{data.images} and {data.test_images} hold "
+                              f"{train_ds.dim} vs {test_ds.dim} pixels per image")
+        if train_ds.class_count != test_ds.class_count:
+            raise ConfigError(f"{data.labels} and {data.test_labels} hold "
+                              f"{train_ds.class_count} vs "
+                              f"{test_ds.class_count} classes")
         rng = Rng(mix_seed(seed, STREAM_DATA))
         if data.n is not None:
             if data.n > train_ds.n:
@@ -381,10 +387,8 @@ def build_base_data(cfg: SweepConfig, seed: int):
     if data.noise_fraction > 0.0:
         train_ds = apply_label_noise(
             train_ds, NoiseSpec(data.noise_fraction, mix_seed(seed, STREAM_NOISE)))
-    if cfg.train is not None and cfg.train.loss == LOSS_BCE:
-        train_ds = train_ds.with_mode(MODE_MULTI_HOT)
-        test_ds = test_ds.with_mode(MODE_MULTI_HOT)
-    return train_ds, test_ds
+    mode = TRAIN_LOSS_MODES[cfg.train.loss]
+    return train_ds.with_mode(mode), test_ds.with_mode(mode)
 
 
 def dataset_hash(*datasets) -> str:
@@ -487,6 +491,10 @@ def biasvar_cells(cfg: SweepConfig, base: dict):
     same splits.  The report has no status column: a failed width writes
     no row."""
     (variant,), (seed,) = cfg.variants, cfg.seeds
+    need, rows = cfg.splits.k * cfg.splits.split_size, base[seed][0].n
+    if need > rows:  # IDX data, whose row count is known once loaded
+        raise ConfigError(f"splits.k * splits.split_size = {need} exceeds "
+                          f"the {rows} train rows")
     for width in cfg.widths:
         yield Cell(f"{variant}/w{width}/s{seed}", seed, [],
                    functools.partial(_biasvar_cell, cfg, base[seed], width,

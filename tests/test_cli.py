@@ -26,6 +26,14 @@ def run_cli(args, cwd=None, env_extra=None):
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
+def one_error_line(proc) -> str:
+    """The single ``error:`` line on stderr of a run that exited 2."""
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    return lines[0]
+
+
 def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -154,8 +162,9 @@ class TestSweepCommands:
         assert "cell standard/w2/s0 failed: " in proc.stderr
 
     @staticmethod
-    def _idx_sweep(tmp_path, counts, **data):
-        """Run mlp-sweep on zero-pixel IDX files of the given image counts."""
+    def _idx_config(tmp_path, counts, **data):
+        """An mlp-width config over zero-pixel 2x2 IDX files of the given
+        image counts, labelled 0, 1, 2, 0, ..."""
         data["kind"] = "idx"
         for name, count in counts.items():
             ip = tmp_path / f"{name}-idx3"
@@ -164,15 +173,22 @@ class TestSweepCommands:
                       np.arange(count) % 3)
             data[name] = str(ip)
             data[name.replace("images", "labels")] = str(lp)
-        raw = {
+        return {
             "experiment": "mlp-width", "experiment_id": "idx",
             "variants": ["standard"], "seeds": [0], "data": data,
             "widths": [2],
             "train": {"loss": "ce", "epochs": 1, "batch_size": 8},
         }
+
+    @staticmethod
+    def _run_idx(tmp_path, raw, command="mlp-sweep"):
         cfg = write_config(tmp_path, raw)
-        return run_cli(["mlp-sweep", "-c", str(cfg), "-o",
-                        str(tmp_path / "out")])
+        return run_cli([command, "-c", str(cfg), "-o", str(tmp_path / "out")])
+
+    def _idx_sweep(self, tmp_path, counts, **data):
+        """Run mlp-sweep on zero-pixel IDX files of the given image counts."""
+        return self._run_idx(tmp_path,
+                             self._idx_config(tmp_path, counts, **data))
 
     @pytest.mark.parametrize("empty", ["images", "test_images"])
     def test_idx_pair_without_images_exit_code_2(self, tmp_path, empty):
@@ -196,6 +212,44 @@ class TestSweepCommands:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "test subset size 5 exceeds test dataset size 3" in lines[0]
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_idx_test_images_of_another_size_exit_code_2(self, tmp_path,
+                                                         standardize):
+        # standardizing would broadcast the 9-pixel rows against 4 means
+        raw = self._idx_config(tmp_path, {"images": 30, "test_images": 10},
+                               standardize=standardize)
+        data = raw["data"]
+        write_idx(data["test_images"], data["test_labels"],
+                  np.zeros((10, 3, 3), dtype=np.uint8), np.arange(10) % 3)
+        line = one_error_line(self._run_idx(tmp_path, raw))
+        assert line == (f"error: {data['images']} and {data['test_images']} "
+                        f"hold 4 vs 9 pixels per image")
+
+    def test_idx_test_labels_of_another_class_count_exit_code_2(self,
+                                                               tmp_path):
+        raw = self._idx_config(tmp_path, {"images": 30, "test_images": 10})
+        data = raw["data"]
+        write_idx(data["test_images"], data["test_labels"],
+                  np.zeros((10, 2, 2), dtype=np.uint8), [11] + [0] * 9)
+        line = one_error_line(self._run_idx(tmp_path, raw))
+        assert line == (f"error: {data['labels']} and {data['test_labels']} "
+                        f"hold 10 vs 12 classes")
+
+    @pytest.mark.parametrize("k", [5, 3])
+    def test_idx_biasvar_splits_past_the_train_file_exit_code_2(self,
+                                                               tmp_path, k):
+        raw = self._idx_config(tmp_path, {"images": 30, "test_images": 10})
+        raw.update(experiment="biasvar",
+                   splits={"k": k, "split_size": 10})
+        proc = self._run_idx(tmp_path, raw, command="biasvar")
+        if k == 3:  # exactly the file's rows: the sweep runs
+            assert proc.returncode == 0, proc.stderr
+            return
+        line = one_error_line(proc)
+        assert line == ("error: splits.k * splits.split_size = 50 exceeds "
+                        "the 30 train rows")
+        assert not (tmp_path / "out" / "idx_biasvar.csv").exists()
 
     def test_diverging_biasvar_exits_1_without_traceback(self, tmp_path):
         cfg = write_config(tmp_path, tiny_biasvar_config())
@@ -363,6 +417,18 @@ class TestChecks:
         proc = run_cli(["lift-check", "--draws", "50"])
         assert proc.returncode == 0
         assert "pass" in proc.stdout
+
+    @pytest.mark.parametrize("args,message", [
+        (["gradcheck", "--eps", "0"], "--eps must be a finite number > 0, "
+                                      "got 0.0"),
+        (["gradcheck", "--eps", "nan"], "--eps must be a finite number > 0, "
+                                        "got nan"),
+        (["gradcheck", "--draws", "-3"], "--draws must be >= 1, got -3"),
+        (["lift-check", "--draws", "0"], "--draws must be >= 1, got 0")])
+    def test_arguments_that_check_nothing_exit_code_2(self, args, message):
+        proc = run_cli(args)
+        assert one_error_line(proc) == f"error: {message}"
+        assert proc.stdout == ""
 
 
 class TestIdxInspect:

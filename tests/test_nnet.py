@@ -12,7 +12,7 @@ from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
                    classify_error, forward, gen_mixture_classification,
                    grad_check, init_mlp, lift_model, loss_and_grad, one_hot,
                    opt_step, pinv_solve, split_k, train)
-from ddlab.datagen import ClassificationDataset, RegressionDataset
+from ddlab.datagen import ClassificationDataset
 from ddlab.nnet import (LOSS_BCE, LOSS_CE, LOSS_MSE, MlpGrads, MlpModel,
                         _DatasetStack, _epoch_batches, _epoch_buffers,
                         _stack_sources, make_optim_state)
@@ -193,24 +193,18 @@ def reference_epoch_batches(source, config, rngs):
 
 @settings(max_examples=100, deadline=None)
 @given(stack=st.sampled_from([None, 1, 2, 3]),
-       regression=st.booleans(), n=st.integers(1, 40), d=st.integers(1, 4),
+       n=st.integers(1, 40), d=st.integers(1, 4),
        c=st.integers(1, 4), epochs=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_epoch_gather_matches_per_step_gather(stack, regression, n, d, c,
-                                              epochs, seed, data):
+def test_epoch_gather_matches_per_step_gather(stack, n, d, c, epochs, seed,
+                                              data):
     batch_size = data.draw(st.integers(1, n + 3))  # partial batches included
     rng = Rng(seed)
-    sources = []
-    for _ in range(stack or 1):
-        features = rng.standard_normal((n, d))
-        if regression:
-            sources.append(RegressionDataset(features, rng.standard_normal(n)))
-        else:
-            sources.append(ClassificationDataset(
-                features, one_hot(rng.integers(c, size=n), c)))
-    kind = LOSS_MSE if regression else LOSS_CE
-    source = sources[0] if stack is None else _stack_sources(sources, kind)
-    config = TrainConfig(kind, epochs, batch_size, seed=0)
+    sources = [ClassificationDataset(rng.standard_normal((n, d)),
+                                     one_hot(rng.integers(c, size=n), c))
+               for _ in range(stack or 1)]
+    source = sources[0] if stack is None else _stack_sources(sources, LOSS_CE)
+    config = TrainConfig(LOSS_CE, epochs, batch_size, seed=0)
     seeds = [seed + s for s in range(stack or 1)]
     rngs, ref_rngs = [Rng(s) for s in seeds], [Rng(s) for s in seeds]
     buffers = _epoch_buffers(source)
@@ -755,20 +749,21 @@ class TestTrain:
             train(init_mlp(6, 4, 2, Rng(0)), ds,
                   TrainConfig(LOSS_BCE, 1, 16, seed=0))
 
-    def test_regression_source_with_mse(self):
+    def test_regression_sources_rejected(self):
+        # networks fit classification data; linreg fits regression data
         from ddlab import gen_linreg, sample_theta
-        theta = sample_theta(4, Rng(0))
-        ds = gen_linreg(200, 4, 0.05, theta, Rng(1))
-        cfg = TrainConfig("mse", 150, 32, seed=2,
-                          optimizer=OptimizerConfig("adam", lr=0.01))
-        fitted, records = train(init_mlp(4, 16, 1, Rng(3)), ds, cfg,
-                                test_set=ds)
-        assert records[-1].train_error is None
-        assert records[-1].test_error is None  # regression targets
-        assert records[-1].test_loss < records[0].test_loss
-        with pytest.raises(ValueError):
-            train(init_mlp(4, 4, 1, Rng(0)), ds,
-                  TrainConfig(LOSS_CE, 1, 16, seed=0))
+        ds = gen_linreg(20, 4, 0.05, sample_theta(4, Rng(0)), Rng(1))
+        cfg = TrainConfig(LOSS_CE, 1, 16, seed=0)
+        with pytest.raises(ValueError, match="classification data"):
+            train(init_mlp(4, 4, 1, Rng(0)), ds, cfg)
+        with pytest.raises(ValueError, match="classification data"):
+            train(init_mlp(8, 4, 1, Rng(0)), ConcatView(ds), cfg)
+        with pytest.raises(ValueError, match="concrete classification data"):
+            train([init_mlp(4, 4, 1, Rng(j)) for j in range(2)], [ds, ds],
+                  [cfg, cfg])
+        with pytest.raises(ValueError,
+                           match=r"^loss must be ce or bce, got 'mse'$"):
+            TrainConfig(LOSS_MSE, 1, 16, seed=0)
 
 
 class TestStackedTrain:
@@ -807,20 +802,19 @@ class TestStackedTrain:
                 assert type(got.train_loss) is float
                 assert type(got.test_loss) is float
 
-    def test_regression_stack_equals_serial_calls(self):
-        from ddlab import gen_linreg, sample_theta
-        theta = sample_theta(3, Rng(63))
-        splits = [gen_linreg(20, 3, 0.1, theta, Rng(64 + j)) for j in range(2)]
-        configs = self._configs(2, loss=LOSS_MSE, batch_size=6)
-        models = [init_mlp(3, 4, 1, Rng(80 + j)) for j in range(2)]
+    def test_stack_without_test_set_equals_serial_calls(self):
+        # the biasvar shape: k splits, no test set
+        splits = self._splits(k=2, size=20)
+        configs = self._configs(2, batch_size=6)
+        models = [init_mlp(5, 4, 3, Rng(80 + j)) for j in range(2)]
         fitted, traces = train(models, splits, configs)
         for j in range(2):
             alone, records = train(models[j], splits[j], configs[j])
             assert np.array_equal(fitted[j].theta, alone.theta)
-            assert [r.train_loss for r in traces[j]] == \
-                [r.train_loss for r in records]
-            assert traces[j][-1].train_error is None
+            assert [(r.train_loss, r.train_error) for r in traces[j]] == \
+                [(r.train_loss, r.train_error) for r in records]
             assert traces[j][-1].test_loss is None  # no test set
+            assert traces[j][-1].test_error is None
 
     def test_configs_may_differ_only_in_seed(self):
         splits = self._splits(k=2)
@@ -843,12 +837,10 @@ class TestStackedTrain:
             train(models, splits[:1], configs)
 
     def test_one_diverging_slice_fails_the_stack(self):
-        from ddlab import gen_linreg, sample_theta
-        theta = sample_theta(3, Rng(65))
-        tame = gen_linreg(20, 3, 0.1, theta, Rng(66))
-        wild = RegressionDataset(tame.features * 1e100, tame.targets)
-        models = [init_mlp(3, 4, 1, Rng(j)) for j in range(2)]
-        configs = self._configs(2, loss=LOSS_MSE, batch_size=6,
+        (tame,) = self._splits(k=1, size=20)
+        wild = ClassificationDataset(tame.features * 1e200, tame.targets)
+        models = [init_mlp(5, 4, 3, Rng(j)) for j in range(2)]
+        configs = self._configs(2, batch_size=6,
                                 optimizer=OptimizerConfig("sgd", lr=0.01))
         train([models[0]], [tame], configs[:1])  # the tame slice alone
         with pytest.raises(TrainingDivergedError) as info:
