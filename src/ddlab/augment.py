@@ -1,12 +1,11 @@
 """The concatenated-inputs construction.
 
 From a base dataset of n rows, the training view holds all n*n ordered
-pairs: element (i, j) has features [x_i || x_j] and a combined target.
-Regression targets and averaged-mode classification targets are the
-arithmetic mean (y_i + y_j) / 2; multi-hot mode takes the element-wise
-maximum of two one-hot rows so a same-class pair stays a valid {0, 1}
-vector.  Test sets concatenate each input with itself and keep the
-original target.
+pairs: element (i, j) has features [x_i || x_j] and a target combined in
+the base's mode.  Regression targets and averaged-mode classification
+targets are the arithmetic mean (y_i + y_j) / 2; multi-hot mode takes the
+element-wise maximum, so a pair of {0, 1} rows stays a {0, 1} row.  Test
+sets concatenate each input with itself and keep the original target.
 
 The view is virtual: pair (i, j) has the row-major flat index i * n + j,
 ``sample_pairs`` draws flat indices and ``ConcatView.batch`` gathers the
@@ -36,23 +35,16 @@ def _combine_targets(t1, t2, mode):
 
 
 class ConcatView:
-    """Constant-memory view over all n*n ordered pairs of a base dataset."""
+    """Constant-memory view over all n*n ordered pairs of a base dataset,
+    pairing targets in the base's mode (averaged for regression)."""
 
-    def __init__(self, base, mode: str = MODE_AVERAGED):
+    def __init__(self, base):
         if base.n < 1:
             raise ValueError("base dataset is empty")
-        if isinstance(base, RegressionDataset):
-            if mode != MODE_AVERAGED:
-                raise ValueError("regression pairs only support averaged targets")
-        elif isinstance(base, ClassificationDataset):
-            if mode == MODE_MULTI_HOT and not base.is_one_hot:
-                raise ValueError("multi-hot pairing requires a one-hot base")
-            if mode == MODE_AVERAGED and base.mode != MODE_AVERAGED:
-                raise ValueError("averaged pairing requires sum-to-one targets")
-        else:
+        if not isinstance(base, (RegressionDataset, ClassificationDataset)):
             raise TypeError(f"unsupported base dataset {type(base).__name__}")
         self.base = base
-        self.mode = mode
+        self.mode = getattr(base, "mode", MODE_AVERAGED)
 
     @property
     def n(self) -> int:
@@ -94,6 +86,17 @@ def build_concat_test(base):
     if isinstance(base, RegressionDataset):
         return RegressionDataset(features, base.targets.copy())
     return ClassificationDataset(features, base.targets.copy(), base.mode)
+
+
+VARIANT_STANDARD = "standard"
+VARIANT_CONCAT = "concat"
+# variant -> what it trains on (built from base train rows) and is scored
+# on (from base test rows); perfbench's tracer rebinds these dict values
+TRAIN_SOURCES = {VARIANT_STANDARD: lambda base: base,
+                 VARIANT_CONCAT: ConcatView}
+TEST_SETS = {VARIANT_STANDARD: lambda base: base,
+             VARIANT_CONCAT: build_concat_test}
+VARIANTS = tuple(TRAIN_SOURCES)
 
 
 def sample_pairs(view: ConcatView, m: int, rng: Rng) -> np.ndarray:

@@ -114,7 +114,8 @@ def load_idx(images_path, labels_path, class_count: int | None = None):
     """Load an image/label pair into a one-hot classification dataset.
 
     Images are flattened row-major and scaled by 1/255.  When class_count
-    is not given it is inferred as max(10, max label + 1).
+    is not given it is inferred as max(10, max label + 1); when it is
+    given, a label at or above it is an ``IdxFormatError``.
     """
     from .datagen import ClassificationDataset, one_hot  # local: avoid cycle
 
@@ -126,6 +127,9 @@ def load_idx(images_path, labels_path, class_count: int | None = None):
             f"{labels_path} holds {labels.shape[0]} labels")
     if class_count is None:
         class_count = max(10, int(labels.max()) + 1) if labels.size else 10
+    elif labels.size and labels.max() >= class_count:
+        raise IdxFormatError(f"{labels_path}: label {labels.max()} is out "
+                             f"of range for {class_count} classes")
     count, rows, cols = pixels.shape
     features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return ClassificationDataset(features, one_hot(labels, class_count))

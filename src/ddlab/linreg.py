@@ -8,7 +8,8 @@ LAPACK ``gelsd`` call (``np.linalg.lstsq`` with that cutoff passed as
 ``rcond``): a QR, then an SVD of the small factor, applied to the targets
 without ever forming the left singular vectors of the design.
 
-The concat variant is fitted in closed form on the n base rows.  The pair
+A cell fits each variant's train source (``augment.TRAIN_SOURCES``).  A
+``ConcatView`` is fitted in closed form on its n base rows.  The pair
 loss is symmetric under swapping the two input halves, so its min-norm
 solution is [phi || phi].  With r = X phi - y/2, the loss over all n^2
 pairs is 2 r^T (n I + 1 1^T) r: least squares on the base rows weighted
@@ -18,13 +19,9 @@ problem like the standard fit, returns psi = 2 phi.  The n^2 x 2d pair
 design is still built, but only for the concat train MSE, which is
 defined over all n^2 pairs.
 
-The concat test MSE is the MSE of [x || x] @ theta_hat over the test set,
-but the [x || x] rows are never built whole: ``_concat_test_mse`` builds
-them ``_TEST_SLICE_ROWS`` at a time through ``build_concat_test``, fills
-one n_test residual vector from the slices and takes one mean over it.
-Its bytes equal the full-copy MSE's, and a cell's working set is then set
-by the n_test x d test set and the n^2 pair design, not by a second,
-twice as wide copy of the test set.
+Every variant is scored by ``_test_mse``, which builds the variant's test
+rows (``augment.TEST_SETS``) ``_TEST_SLICE_ROWS`` at a time, so no cell
+holds a second, wider copy of the n_test-row test set.
 """
 
 from __future__ import annotations
@@ -34,22 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import ConcatView, build_concat_test, materialize
+from .augment import (TEST_SETS, TRAIN_SOURCES, VARIANT_STANDARD, VARIANTS,
+                      ConcatView, materialize)
 from .datagen import RegressionDataset, gen_linreg, sample_theta
 from .records import STATUS_MEDIAN, CurvePoint, lower_median
 from .rng import Rng, mix_seed
-
-VARIANT_STANDARD = "standard"
-VARIANT_CONCAT = "concat"
-VARIANTS = (VARIANT_STANDARD, VARIANT_CONCAT)
 
 # sample-sweep grids stay at n <= a few hundred, so their n^2 x 2d pair
 # designs (built for the concat train MSE) are megabytes; validate_config
 # rejects grids past this cap before any cell runs
 SWEEP_MATERIALIZE_BUDGET = 6 << 30
-# rows per [x || x] slice of the streamed concat test MSE.  Keep it a
-# multiple of 8: OpenBLAS's gemv kept the full-copy bytes at 512, 1000 and
-# 1024 rows, and changed them in 1 of 400 fig1-sized cells at 333.
+# rows per slice of the streamed test MSE.  Keep it a multiple of 8:
+# OpenBLAS's gemv kept the full-copy bytes at 512, 1000 and 1024 rows, and
+# changed them in 1 of 400 fig1-sized cells at 333.
 _TEST_SLICE_ROWS = 1024
 
 
@@ -100,21 +94,22 @@ def design_rank(X: np.ndarray) -> int:
     return int(np.sum(s > _svd_cutoff(s, *X.shape)))
 
 
-def _fit_variant(train, variant):
-    """Fit one variant on a cell's train draw: (model, train MSE).
+def _fit(source):
+    """Fit one train source: (model, train MSE).
 
-    The concat fit is one ``pinv_solve`` of the base rows under the
-    square root of the pair weighting (see the module docstring), split
-    into equal halves.  Its train MSE is the mean over all n^2 pairs, so
-    the pair design is built first and released when this returns.
+    A ``ConcatView`` is fitted by one ``pinv_solve`` of its base rows under
+    the square root of the pair weighting (see the module docstring),
+    split into equal halves.  Its train MSE is the mean over all n^2
+    pairs, so the pair design is built first and released when this
+    returns.  Any other source is fitted as it is.
     """
-    if variant != VARIANT_CONCAT:
-        model = pinv_solve(train.features, train.targets)
-        return model, mse(model, train)
-    pairs = materialize(ConcatView(train), SWEEP_MATERIALIZE_BUDGET)
-    X, y = train.features, train.targets
-    root_n = math.sqrt(train.n)
-    lift = math.sqrt(2 * train.n) - root_n
+    if not isinstance(source, ConcatView):
+        model = pinv_solve(source.features, source.targets)
+        return model, mse(model, source)
+    pairs = materialize(source, SWEEP_MATERIALIZE_BUDGET)
+    X, y = source.base.features, source.base.targets
+    root_n = math.sqrt(source.n)
+    lift = math.sqrt(2 * source.n) - root_n
     psi = pinv_solve(root_n * X + lift * X.mean(axis=0),
                      root_n * y + lift * y.mean())
     half = psi.theta_hat / 2
@@ -123,18 +118,18 @@ def _fit_variant(train, variant):
     return model, mse(model, pairs)
 
 
-def _concat_test_mse(model: LinearModel, test: RegressionDataset) -> float:
-    """``mse(model, build_concat_test(test))`` without the whole copy.
+def _test_mse(model: LinearModel, test: RegressionDataset, variant: str) -> float:
+    """``mse(model, TEST_SETS[variant](test))`` without the whole test set.
 
-    The [x || x] rows are built ``_TEST_SLICE_ROWS`` at a time, each
-    slice's residuals land in one n_test vector, and one mean is taken
-    over it, so the result is bit-equal to the full-copy MSE.
+    The variant's test rows are built ``_TEST_SLICE_ROWS`` base rows at a
+    time, each slice's residuals land in one n_test vector, and one mean
+    is taken over it, so the result is bit-equal to the whole-set MSE.
     """
     resid = np.empty(test.n)
     for start in range(0, test.n, _TEST_SLICE_ROWS):
         stop = start + _TEST_SLICE_ROWS
-        part = build_concat_test(RegressionDataset(test.features[start:stop],
-                                                   test.targets[start:stop]))
+        part = TEST_SETS[variant](RegressionDataset(
+            test.features[start:stop], test.targets[start:stop]))
         np.subtract(part.features @ model.theta_hat, part.targets,
                     out=resid[start:stop])
     return float(np.mean(resid * resid))
@@ -146,24 +141,18 @@ def _sweep_cell(d, sigma, n, n_test, seed, variants):
     Draw order: theta, train, test, all from one ``Rng``.  Every variant is
     fitted on the train draw before the test set is drawn; fitting draws
     nothing, so the stream is the same as drawing all three first, and
-    standard and concat share bytes.  The n^2 x 2d pair design, built
-    only for the concat train MSE, is thus never alive next to the
-    n_test-row test set, whose [x || x] rows are built a slice at a time
-    (``_concat_test_mse``).
+    the variants share bytes.  The n^2 x 2d pair design, built only for
+    the concat train MSE, is thus never alive next to the n_test-row test
+    set.
     """
     rng = Rng(mix_seed(seed, n))
     theta = sample_theta(d, rng)
     train = gen_linreg(n, d, sigma, theta, rng)
-    fits = [_fit_variant(train, variant) for variant in variants]
+    fits = [_fit(TRAIN_SOURCES[variant](train)) for variant in variants]
     test = gen_linreg(n_test, d, sigma, theta, rng)
-    cells = []
-    for variant, (model, train_mse) in zip(variants, fits):
-        if variant == VARIANT_CONCAT:
-            test_mse = _concat_test_mse(model, test)
-        else:
-            test_mse = mse(model, test)
-        cells.append((train_mse, test_mse, model.theta_hat.shape[0]))
-    return cells
+    return [(train_mse, _test_mse(model, test, variant),
+             model.theta_hat.shape[0])
+            for variant, (model, train_mse) in zip(variants, fits)]
 
 
 def linreg_sample_sweep(d: int, sigma: float, n_grid, seeds, n_test: int,

@@ -39,14 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import ConcatView, build_concat_test, materialized_bytes
+from .augment import (TEST_SETS, TRAIN_SOURCES, VARIANT_CONCAT,
+                      VARIANT_STANDARD, VARIANTS, materialized_bytes)
 from .biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from .biasvar import estimate_bias_variance
 from .datagen import (ClassificationDataset, NoiseSpec, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
-from .linreg import (SWEEP_MATERIALIZE_BUDGET, VARIANT_CONCAT,
-                     VARIANT_STANDARD, VARIANTS, linreg_sample_sweep)
+from .linreg import SWEEP_MATERIALIZE_BUDGET, linreg_sample_sweep
 from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, OptimizerConfig, TrainConfig,
                    init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
@@ -354,7 +354,8 @@ def build_base_data(cfg: SweepConfig, seed: int):
         test_ds = combined.take(np.arange(data.n, data.n + data.test_n))
     else:
         train_ds = load_idx(data.images, data.labels)
-        test_ds = load_idx(data.test_images, data.test_labels)
+        test_ds = load_idx(data.test_images, data.test_labels,
+                           class_count=train_ds.class_count)
         for path, ds in ((data.images, train_ds), (data.test_images, test_ds)):
             if ds.features.size == 0:
                 raise ConfigError(f"{path}: holds no pixels "
@@ -363,10 +364,6 @@ def build_base_data(cfg: SweepConfig, seed: int):
         if train_ds.dim != test_ds.dim:
             raise ConfigError(f"{data.images} and {data.test_images} hold "
                               f"{train_ds.dim} vs {test_ds.dim} pixels per image")
-        if train_ds.class_count != test_ds.class_count:
-            raise ConfigError(f"{data.labels} and {data.test_labels} hold "
-                              f"{train_ds.class_count} vs "
-                              f"{test_ds.class_count} classes")
         rng = Rng(mix_seed(seed, STREAM_DATA))
         if data.n is not None:
             if data.n > train_ds.n:
@@ -422,14 +419,12 @@ class Cell(typing.NamedTuple):
 
 
 def _network_cell(cfg: SweepConfig, data, variant: str, width: int, seed: int):
-    """Train one (variant, width, seed) cell: its final epoch on the
-    hidden_units axis, with every epoch as trace points.  A concat cell
-    pairs its rows in the target mode ``build_base_data`` chose."""
+    """Train one (variant, width, seed) cell on the variant's train source
+    and test set: its final epoch on the hidden_units axis, with every
+    epoch as trace points."""
     train_ds, test_ds = data
-    source = train_ds
-    if variant == VARIANT_CONCAT:
-        source = ConcatView(train_ds, train_ds.mode)
-        test_ds = build_concat_test(test_ds)
+    source = TRAIN_SOURCES[variant](train_ds)
+    test_ds = TEST_SETS[variant](test_ds)
     model = init_mlp(test_ds.dim, width, train_ds.class_count,
                      Rng(mix_seed(seed, STREAM_INIT)))
     params = model.param_count
@@ -557,19 +552,25 @@ def _pooled(run, cells: list, threads: int) -> list:
     return outcomes
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Run every cell of a sweep, collecting results in canonical order.
-
-    Base data and its hash are built per seed before any cell runs, so a
-    bad data file still raises ``ConfigError``.  Cells of a kind in
-    ``POOLED_KINDS`` run on ``cfg.threads`` threads (``_pooled``), the
-    others one after another.  A cell that raises becomes its failed rows
-    plus a ``failures`` entry.
-    """
+def _plan(cfg: SweepConfig):
+    """(cells, input hash per seed).  Base data and its hash are built per
+    seed here, so a bad data file raises ``ConfigError`` before any cell
+    runs or any output is made."""
     seeds = [] if cfg.experiment == "linreg-sample" else cfg.seeds
     base = {seed: build_base_data(cfg, seed) for seed in seeds}
     hashes = {seed: dataset_hash(*data) for seed, data in base.items()}
-    cells = list(RUNNERS[cfg.experiment](cfg, base))
+    return list(RUNNERS[cfg.experiment](cfg, base)), hashes
+
+
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """Run every cell of a sweep, collecting results in canonical order."""
+    return _run_cells(cfg, *_plan(cfg))
+
+
+def _run_cells(cfg: SweepConfig, cells: list, hashes: dict) -> SweepResult:
+    """Cells of a kind in ``POOLED_KINDS`` run on ``cfg.threads`` threads
+    (``_pooled``), the others one after another.  A cell that raises
+    becomes its failed rows plus a ``failures`` entry."""
 
     def guarded(cell):
         try:
@@ -702,9 +703,10 @@ def write_manifest(path, cfg: SweepConfig, result: SweepResult) -> None:
 
 def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
     """Run a sweep and write CSV outputs plus the manifest into out_dir."""
+    cells, hashes = _plan(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_sweep(cfg)
+    result = _run_cells(cfg, cells, hashes)
     suffix, header = (("_biasvar", BIASVAR_CSV_HEADER)
                       if cfg.experiment == "biasvar" else ("", CSV_HEADER))
     write_points_csv(out / f"{cfg.experiment_id}{suffix}.csv", result.points,

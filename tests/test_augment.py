@@ -29,8 +29,8 @@ def pair_view(kind, n, d, c, seed):
         targets = weights / weights.sum(axis=1, keepdims=True)
         return ConcatView(ClassificationDataset(features, targets))
     targets = one_hot(rng.integers(c, size=n), c)
-    return ConcatView(ClassificationDataset(features, targets),
-                      MODE_MULTI_HOT)
+    return ConcatView(ClassificationDataset(features, targets,
+                                            MODE_MULTI_HOT))
 
 
 PAIR_KINDS = ("regression", "averaged", "multi_hot")
@@ -61,8 +61,8 @@ class TestConcatPair:
 
     def test_multi_hot_max(self):
         targets = one_hot([1, 3], 4)
-        view = ConcatView(ClassificationDataset(np.zeros((2, 1)), targets),
-                          MODE_MULTI_HOT)
+        view = ConcatView(ClassificationDataset(np.zeros((2, 1)), targets,
+                                                MODE_MULTI_HOT))
         _, target = view.element(0, 1)
         np.testing.assert_array_equal(target, [0.0, 1.0, 0.0, 1.0])
         # same class stays a valid binary vector
@@ -70,13 +70,17 @@ class TestConcatPair:
         np.testing.assert_array_equal(target, targets[0])
 
     def test_mixed_modes_rejected(self):
+        # pairs take their base's mode, so soft targets cannot pair
+        # multi-hot: the base itself refuses that mode
         soft = ClassificationDataset(np.zeros((2, 1)),
                                      np.array([[0.5, 0.5], [1.0, 0.0]]))
         with pytest.raises(ValueError):
+            ConcatView(soft.with_mode(MODE_MULTI_HOT))
+        with pytest.raises(TypeError):
             ConcatView(soft, MODE_MULTI_HOT)
-        with pytest.raises(ValueError):
-            ConcatView(RegressionDataset(np.zeros((2, 1)), np.zeros(2)),
-                       MODE_MULTI_HOT)
+        assert ConcatView(soft).mode == MODE_AVERAGED
+        regression = RegressionDataset(np.zeros((2, 1)), np.zeros(2))
+        assert ConcatView(regression).mode == MODE_AVERAGED
 
 
 class TestConcatView:

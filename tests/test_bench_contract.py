@@ -6,6 +6,9 @@ workloads name the spans each metric reads.  Deleting or renaming one of
 those functions breaks every traced benchmark run, but nothing under
 ``tests/`` would notice; these tests read the two benchmark modules
 (without changing them) and check that everything they name exists.
+A builder called through a name the tracer does not rebind breaks the
+run too, so a tiny traced sweep of each kind must load what its workload
+lists as loaded.
 """
 
 import importlib
@@ -124,3 +127,64 @@ def test_tracer_installs_and_uninstalls_cleanly(tracer, tmp_path):
     for span in ("sweep.run_config", "nnet.train", "augment.sample_pairs",
                  "rng.integers", "nnet.loss_and_grad", "nnet.forward"):
         assert span in names, span
+
+
+# one tiny sweep per experiment kind: its workload's config (preset,
+# variants, loss) over a few rows, widths and epochs
+TINY_SWEEPS = {
+    "linreg-sample": ("linreg_fig1", {"n_grid": [3, 40], "n_test": 50}),
+    "mlp-width": ("mlp_width_mixture", {
+        "data": {"n": 24, "test_n": 12}, "widths": [2, 3],
+        "train": {"epochs": 2}}),
+    "biasvar": ("biasvar_mixture", {
+        "data": {"n": 60, "test_n": 20}, "widths": [2],
+        "splits": {"k": 2, "split_size": 30}, "train": {"epochs": 2}}),
+}
+
+
+def _merge(raw, override):
+    for key, value in override.items():
+        if isinstance(value, dict):
+            _merge(raw[key], value)
+        else:
+            raw[key] = value
+
+
+def _loaded_readings(tracer, workloads, spans, metrics):
+    """metric -> traced value for each loaded span metric and the two
+    pair and gradient ratios; whole-run readings (CSV rows, parallelism,
+    CPU time) are left out."""
+    stats = tracer.summarize(spans)
+    readings = {}
+    for metric in metrics:
+        if metric == "nnet.discarded_grad_ratio":
+            readings[metric] = tracer.count_under(
+                spans, "nnet.loss_and_grad", "nnet.eval_loss")
+        elif metric == "augment.sample_pairs.useful_ratio":
+            drawn = tracer.count_under(spans, "rng.integers",
+                                       "augment.sample_pairs", "amount")
+            readings[metric] = (stats["augment.sample_pairs"].amount / drawn
+                                if drawn else 0)
+        elif metric in workloads.SPAN_METRICS:
+            span, field = metric.rsplit(".", 1)
+            entry = stats[span]
+            readings[metric] = (getattr(entry, field)
+                                if field in ("calls", "self_s", "total_s")
+                                else entry.amount)
+    return readings
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_SWEEPS))
+def test_tiny_traced_sweep_loads_its_workload(tracer, workloads, tmp_path,
+                                              kind):
+    from ddlab import sweep
+    name, override = TINY_SWEEPS[kind]
+    raw = workloads.workload_config(
+        name, workloads.DEFAULT_SEED, Path(ddlab.__file__).parent / "presets")
+    assert raw["experiment"] == kind
+    _merge(raw, override)
+    with tracer.Tracer() as t:
+        sweep.run_config(parse_config(raw), tmp_path)
+    readings = _loaded_readings(tracer, workloads, t.spans,
+                                workloads.LOADED[name])
+    assert [m for m, value in readings.items() if value == 0] == []

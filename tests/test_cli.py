@@ -225,6 +225,7 @@ class TestSweepCommands:
         line = one_error_line(self._run_idx(tmp_path, raw))
         assert line == (f"error: {data['images']} and {data['test_images']} "
                         f"hold 4 vs 9 pixels per image")
+        assert not (tmp_path / "out").exists()  # found before it is made
 
     def test_idx_test_labels_of_another_class_count_exit_code_2(self,
                                                                tmp_path):
@@ -233,8 +234,17 @@ class TestSweepCommands:
         write_idx(data["test_images"], data["test_labels"],
                   np.zeros((10, 2, 2), dtype=np.uint8), [11] + [0] * 9)
         line = one_error_line(self._run_idx(tmp_path, raw))
-        assert line == (f"error: {data['labels']} and {data['test_labels']} "
-                        f"hold 10 vs 12 classes")
+        assert line == (f"error: {data['test_labels']}: label 11 is out of "
+                        f"range for 10 classes")
+
+    def test_idx_test_labels_within_the_train_classes_run(self, tmp_path):
+        # test labels 0-2 are read with the 12 classes of train labels 0-11
+        raw = self._idx_config(tmp_path, {"images": 30, "test_images": 10})
+        data = raw["data"]
+        write_idx(data["images"], data["labels"],
+                  np.zeros((30, 2, 2), dtype=np.uint8), np.arange(30) % 12)
+        proc = self._run_idx(tmp_path, raw)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("k", [5, 3])
     def test_idx_biasvar_splits_past_the_train_file_exit_code_2(self,

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import tracemalloc
 from importlib import resources
 
@@ -11,8 +13,8 @@ from ddlab import (ConcatView, LinearModel, RegressionDataset, Rng,
                    build_concat_test, design_rank, gen_linreg,
                    linreg_sample_sweep, materialize, mix_seed, mse,
                    pinv_solve, sample_theta)
-from ddlab.linreg import (_concat_test_mse, _fit_variant, _svd_cutoff,
-                          _sweep_cell)
+from ddlab.augment import TEST_SETS, TRAIN_SOURCES, VARIANTS
+from ddlab.linreg import _fit, _svd_cutoff, _sweep_cell, _test_mse
 from ddlab.records import STATUS_MEDIAN
 
 
@@ -196,7 +198,7 @@ def concat_bases(draw):
 def test_closed_form_concat_matches_pair_design(case):
     base, rng = case
     d = base.dim
-    got, _ = _fit_variant(base, "concat")
+    got, _ = _fit(ConcatView(base))
     ref = pair_design_fit(base)
     theta_a, theta_b = got.theta_hat[:d], got.theta_hat[d:]
     assert np.array_equal(theta_a, theta_b)
@@ -230,7 +232,7 @@ def test_fig1_concat_fits_match_pair_design():
             theta = sample_theta(d, rng)
             train = gen_linreg(n, d, sigma, theta, rng)
             test = build_concat_test(gen_linreg(n_test, d, sigma, theta, rng))
-            got, _ = _fit_variant(train, "concat")
+            got, _ = _fit(ConcatView(train))
             a, b = mse(got, test), mse(pair_design_fit(train), test)
             worst = max(worst, abs(a - b) / b)
     assert worst <= 1e-12, worst
@@ -239,15 +241,36 @@ def test_fig1_concat_fits_match_pair_design():
 @pytest.mark.parametrize("n_test", [1, 7, 1023, 1024, 1025, 2053])
 @pytest.mark.parametrize("n", [12, 45])  # n <= d and n > d at d = 30
 def test_streamed_concat_test_mse_is_bit_equal(n, n_test):
-    # The full [x || x] copy stays only as this oracle: the sweep builds
-    # the concat test rows in slices, on and across slice boundaries.
-    for seed in range(4):
+    # The whole test set stays only as this oracle: the sweep builds each
+    # variant's test rows in slices, on and across slice boundaries.
+    for seed, variant in itertools.product(range(4), VARIANTS):
         rng = Rng(mix_seed(seed, n))
         theta = sample_theta(30, rng)
-        model, _ = _fit_variant(gen_linreg(n, 30, 0.5, theta, rng), "concat")
+        train = gen_linreg(n, 30, 0.5, theta, rng)
+        model, _ = _fit(TRAIN_SOURCES[variant](train))
         test = gen_linreg(n_test, 30, 0.5, theta, rng)
-        assert _concat_test_mse(model, test) == \
-            mse(model, build_concat_test(test)), seed
+        assert _test_mse(model, test, variant) == \
+            mse(model, TEST_SETS[variant](test)), (seed, variant)
+
+
+def test_fig1_test_mse_matches_the_closed_form_risk():
+    # On x ~ N(0, I) with y = x . theta + sigma * noise, a fit predicting
+    # x . theta_eff has risk |theta_eff - theta|^2 + sigma^2, and n_test
+    # draws put its test MSE within about sqrt(2 / n_test) of it
+    # relatively.  theta_eff is theta_hat for standard and, as
+    # [x || x] . [a || b] = x . (a + b), the sum of the halves for concat.
+    d, sigma, n_test = 30, 0.1, 10_000
+    for n, seed in itertools.product(range(2, 101), range(2)):
+        cells = _sweep_cell(d, sigma, n, n_test, seed, VARIANTS)
+        rng = Rng(mix_seed(seed, n))
+        theta = sample_theta(d, rng)
+        train = gen_linreg(n, d, sigma, theta, rng)
+        for variant, (_, test_mse, _) in zip(VARIANTS, cells):
+            model, _ = _fit(TRAIN_SOURCES[variant](train))
+            theta_eff = model.theta_hat.reshape(-1, d).sum(axis=0)
+            risk = float(np.sum((theta_eff - theta) ** 2)) + sigma ** 2
+            z = (test_mse / risk - 1) / math.sqrt(2 / n_test)
+            assert abs(z) <= 5, (n, seed, variant, z)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 29, 30])
