@@ -9,7 +9,7 @@ from .augment import (ConcatView, MemoryBudgetError, build_concat_test,
                       materialize, sample_pairs)
 from .biasvar import (BiasVarianceRow, ProbDist, decompose_point,
                       estimate_bias_variance, kl, log_geometric_mean)
-from .datagen import (ClassificationDataset, NoiseSpec, RegressionDataset,
+from .datagen import (ClassificationDataset, RegressionDataset,
                       apply_label_noise, gen_linreg,
                       gen_mixture_classification, one_hot, sample_theta,
                       split_k)

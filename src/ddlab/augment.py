@@ -10,7 +10,7 @@ sets concatenate each input with itself and keep the original target.
 The view is virtual: pair (i, j) has the row-major flat index i * n + j,
 ``sample_pairs`` draws flat indices and ``ConcatView.batch`` gathers the
 pairs they name, and nothing quadratic is ever allocated unless
-``materialize`` is called explicitly, which enforces a memory budget.
+``materialize`` is called explicitly, within ``MATERIALIZE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,13 @@ from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
                       RegressionDataset)
 from .rng import Rng
 
+# a sample-sweep grid (n <= a few hundred) has pair designs of megabytes;
+# validate_config rejects a concat grid past this cap before any cell runs
+MATERIALIZE_BUDGET = 6 << 30
+
 
 class MemoryBudgetError(ValueError):
-    """Materialization would exceed the configured byte budget."""
+    """Materialization would exceed ``MATERIALIZE_BUDGET``."""
 
 
 def _combine_targets(t1, t2, mode):
@@ -131,20 +135,20 @@ def materialized_bytes(n: int, d: int, target_width: int = 1) -> int:
     return n * n * (2 * d + target_width) * 8
 
 
-def materialize(view: ConcatView, max_bytes: int = 1 << 30):
+def materialize(view: ConcatView):
     """Dense row-major (i, j) dataset for the full n*n grid.
 
-    Refuses to allocate past ``max_bytes`` (``materialized_bytes``) since
-    the grid grows quadratically in the base size.
+    Refuses to allocate past ``MATERIALIZE_BUDGET`` (``materialized_bytes``)
+    since the grid grows quadratically in the base size.
     """
     n = view.n
     base = view.base
     target_width = 1 if base.targets.ndim == 1 else base.targets.shape[1]
     need = materialized_bytes(n, base.dim, target_width)
-    if need > max_bytes:
+    if need > MATERIALIZE_BUDGET:
         raise MemoryBudgetError(
             f"materializing {n}x{n} pairs needs {need} bytes, "
-            f"over the {max_bytes}-byte budget")
+            f"over the {MATERIALIZE_BUDGET}-byte budget")
     # row i*n + j is [x_i || x_j]: broadcast each half into one (n, n, 2d)
     # array instead of gathering both halves through n^2 index arrays
     d = base.dim

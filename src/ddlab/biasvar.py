@@ -17,7 +17,7 @@ normalization and perturbs row sums by at most c * 1e-300.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -136,10 +136,6 @@ def decompose_batch(pi_rows: np.ndarray, prediction_stack: np.ndarray):
 # -- split-based estimator ------------------------------------------------------
 
 
-CSV_HEADER = ("config_id,width,k,risk,bias_kl,variance,"
-              "bias_subtraction,identity_residual")
-
-
 @dataclass(frozen=True)
 class BiasVarianceRow:
     config_id: str
@@ -153,6 +149,9 @@ class BiasVarianceRow:
 
     def csv_row(self) -> str:
         return ",".join(fmt_value(v) for v in astuple(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BiasVarianceRow))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -105,16 +105,6 @@ class ClassificationDataset:
             self.features, self.targets, mode)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"noise fraction must be in [0, 1], got {self.fraction}")
-
-
 def one_hot(labels, class_count: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
@@ -176,8 +166,8 @@ def gen_mixture_classification(n: int, d: int, c: int, separation: float,
     return ClassificationDataset(features, one_hot(labels, c), MODE_AVERAGED)
 
 
-def apply_label_noise(ds: ClassificationDataset,
-                      spec: NoiseSpec) -> ClassificationDataset:
+def apply_label_noise(ds: ClassificationDataset, fraction: float,
+                      rng: Rng) -> ClassificationDataset:
     """Reassign exactly floor(fraction * n) labels to uniformly wrong classes.
 
     Rows are chosen without replacement through the seeded permutation; each
@@ -185,17 +175,18 @@ def apply_label_noise(ds: ClassificationDataset,
     other than its own.  Must run before any concatenation: soft targets are
     rejected.
     """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"noise fraction must be in [0, 1], got {fraction}")
     if not ds.is_one_hot:
         raise ValueError("label noise requires one-hot targets "
                          "(apply it before stacking)")
     n = ds.n
-    count = int(spec.fraction * n)
+    count = int(fraction * n)
     targets = ds.targets.copy()
     if count:
         c = ds.class_count
         if c < 2:
             raise ValueError("cannot draw a wrong class with c < 2")
-        rng = Rng(spec.seed)
         rows = rng.permutation(n)[:count]
         orig = targets[rows].argmax(axis=1)
         draw = rng.integers(c - 1, size=count)

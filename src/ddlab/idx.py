@@ -13,6 +13,7 @@ round trip reproduces conforming files byte for byte.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,48 +49,43 @@ class IdxInfo:
     cols: int | None
 
 
-def _read_header(data: bytes, path, n_fields: int) -> tuple[int, ...]:
-    need = 4 * n_fields
-    if len(data) < need:
-        raise IdxTruncatedError(f"{path}: file shorter than its header")
-    return struct.unpack(f">{n_fields}I", data[:need])
+# magic -> (kind, number of big-endian uint32 dimensions after the magic)
+LAYOUTS = {MAGIC_IMAGES: ("images", 3), MAGIC_LABELS: ("labels", 1)}
 
 
-def inspect_idx(path) -> IdxInfo:
+def _parse(path, expect: int | None = None):
+    """(magic, dimensions, body) of an IDX file whose length matches its
+    header.  A reader passes the magic it needs as ``expect``."""
     data = Path(path).read_bytes()
     if len(data) < 4:
         raise IdxTruncatedError(f"{path}: file shorter than its header")
     (magic,) = struct.unpack(">I", data[:4])
-    if magic == MAGIC_IMAGES:
-        _, count, rows, cols = _read_header(data, path, 4)
-        if len(data) != 16 + count * rows * cols:
-            raise IdxTruncatedError(
-                f"{path}: expected {16 + count * rows * cols} bytes, "
-                f"found {len(data)}")
-        return IdxInfo("images", magic, count, rows, cols)
-    if magic == MAGIC_LABELS:
-        _, count = _read_header(data, path, 2)
-        if len(data) != 8 + count:
-            raise IdxTruncatedError(
-                f"{path}: expected {8 + count} bytes, found {len(data)}")
-        return IdxInfo("labels", magic, count, None, None)
-    raise IdxMagicError(f"{path}: unrecognized magic number 0x{magic:08x}")
+    if expect is not None and magic != expect:
+        raise IdxMagicError(f"{path}: bad {LAYOUTS[expect][0]} magic "
+                            f"0x{magic:08x}, expected 0x{expect:08x}")
+    if magic not in LAYOUTS:
+        raise IdxMagicError(f"{path}: unrecognized magic number 0x{magic:08x}")
+    header = 4 + 4 * LAYOUTS[magic][1]
+    if len(data) < header:
+        raise IdxTruncatedError(f"{path}: file shorter than its header")
+    dims = struct.unpack(f">{LAYOUTS[magic][1]}I", data[4:header])
+    size = header + math.prod(dims)
+    if len(data) != size:
+        raise IdxTruncatedError(f"{path}: expected {size} bytes, found {len(data)}")
+    return magic, dims, data[header:]
+
+
+def inspect_idx(path) -> IdxInfo:
+    magic, dims, _ = _parse(path)
+    count, rows, cols = (*dims, None, None)[:3]
+    return IdxInfo(LAYOUTS[magic][0], magic, count, rows, cols)
 
 
 def read_idx_images(path) -> np.ndarray:
     """Raw pixel bytes as a (count, rows, cols) uint8 array."""
-    data = Path(path).read_bytes()
-    magic = struct.unpack(">I", data[:4])[0] if len(data) >= 4 else -1
-    if magic != MAGIC_IMAGES:
-        raise IdxMagicError(
-            f"{path}: bad images magic 0x{magic:08x}, expected 0x{MAGIC_IMAGES:08x}")
-    _, count, rows, cols = _read_header(data, path, 4)
-    body = data[16:]
-    if len(body) != count * rows * cols:
-        raise IdxTruncatedError(
-            f"{path}: expected {count * rows * cols} pixel bytes, found {len(body)}")
-    # zero pixels pass that check whatever the other dimensions say, but
-    # numpy cannot shape (or convert to float64) arrays with huge ones
+    _, (count, rows, cols), body = _parse(path, MAGIC_IMAGES)
+    # zero pixels pass the length check whatever the other dimensions say,
+    # but numpy cannot shape (or convert to float64) arrays with huge ones
     if max(count, 1) * max(rows, 1) * max(cols, 1) > np.iinfo(np.intp).max // 8:
         raise IdxFormatError(
             f"{path}: dimensions {count} x {rows} x {cols} are too large")
@@ -97,16 +93,7 @@ def read_idx_images(path) -> np.ndarray:
 
 
 def read_idx_labels(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    magic = struct.unpack(">I", data[:4])[0] if len(data) >= 4 else -1
-    if magic != MAGIC_LABELS:
-        raise IdxMagicError(
-            f"{path}: bad labels magic 0x{magic:08x}, expected 0x{MAGIC_LABELS:08x}")
-    _, count = _read_header(data, path, 2)
-    body = data[8:]
-    if len(body) != count:
-        raise IdxTruncatedError(
-            f"{path}: expected {count} label bytes, found {len(body)}")
+    _, _, body = _parse(path, MAGIC_LABELS)
     return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
 
 

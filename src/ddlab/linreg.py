@@ -37,10 +37,6 @@ from .datagen import RegressionDataset, gen_linreg, sample_theta
 from .records import STATUS_MEDIAN, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
-# sample-sweep grids stay at n <= a few hundred, so their n^2 x 2d pair
-# designs (built for the concat train MSE) are megabytes; validate_config
-# rejects grids past this cap before any cell runs
-SWEEP_MATERIALIZE_BUDGET = 6 << 30
 # rows per slice of the streamed test MSE.  Keep it a multiple of 8:
 # OpenBLAS's gemv kept the full-copy bytes at 512, 1000 and 1024 rows, and
 # changed them in 1 of 400 fig1-sized cells at 333.
@@ -106,7 +102,7 @@ def _fit(source):
     if not isinstance(source, ConcatView):
         model = pinv_solve(source.features, source.targets)
         return model, mse(model, source)
-    pairs = materialize(source, SWEEP_MATERIALIZE_BUDGET)
+    pairs = materialize(source)
     X, y = source.base.features, source.base.targets
     root_n = math.sqrt(source.n)
     lift = math.sqrt(2 * source.n) - root_n

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-CSV_HEADER = ("experiment_id,variant,axis_name,axis_value,train_loss,"
-              "train_error,test_loss,test_error,seed,params,"
-              "param_sample_ratio,status")
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -56,8 +53,8 @@ class CurvePoint:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
     def csv_row(self) -> str:
-        cells = (self.experiment_id, self.variant, self.axis_name,
-                 self.axis_value, self.train_loss, self.train_error,
-                 self.test_loss, self.test_error, self.seed, self.params,
-                 self.param_sample_ratio, self.status)
-        return ",".join(fmt_value(c) for c in cells)
+        return ",".join(fmt_value(c) for c in _cells(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CurvePoint))
+_cells = attrgetter(*CSV_HEADER.split(","))

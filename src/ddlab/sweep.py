@@ -28,6 +28,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import threading
 import types
@@ -39,20 +40,28 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import (TEST_SETS, TRAIN_SOURCES, VARIANT_CONCAT,
-                      VARIANT_STANDARD, VARIANTS, materialized_bytes)
+from .augment import (MATERIALIZE_BUDGET, TEST_SETS, TRAIN_SOURCES,
+                      VARIANT_CONCAT, VARIANT_STANDARD, VARIANTS,
+                      materialized_bytes)
 from .biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from .biasvar import estimate_bias_variance
-from .datagen import (ClassificationDataset, NoiseSpec, apply_label_noise,
+from .datagen import (ClassificationDataset, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
-from .linreg import SWEEP_MATERIALIZE_BUDGET, linreg_sample_sweep
+from .linreg import linreg_sample_sweep
 from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, OptimizerConfig, TrainConfig,
                    init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
-EXPERIMENT_KINDS = ("linreg-sample", "mlp-width", "biasvar")
+# experiment kind -> the top-level keys it reads.  A kind needs each of its
+# own keys (an empty list counts as missing) and takes no other kind's.
+KIND_KEYS = {
+    "linreg-sample": ("d", "sigma", "n_grid", "n_test"),
+    "mlp-width": ("data", "widths", "train"),
+    "biasvar": ("data", "widths", "train", "splits"),
+}
+EXPERIMENT_KINDS = tuple(KIND_KEYS)
 
 # stream tags for mix_seed(seed, tag)
 STREAM_DATA = 1
@@ -215,10 +224,6 @@ def _int_at_least(value, low: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
-def _positive_int(value) -> bool:
-    return _int_at_least(value, 1)
-
-
 def validate_config(cfg: SweepConfig) -> None:
     _validate_sections(cfg)
     # a repeated seed or grid point would run, and count in the medians, twice
@@ -234,8 +239,10 @@ def validate_config(cfg: SweepConfig) -> None:
 def _validate_sections(cfg: SweepConfig) -> None:
     if cfg.experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment '{cfg.experiment}'")
-    if not cfg.experiment_id:
-        raise ConfigError("experiment_id must be nonempty")
+    # the id is a file name stem and every CSV row's first cell
+    if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", cfg.experiment_id):
+        raise ConfigError(f"experiment_id must be letters, digits, '.', '_' or "
+                          f"'-', led by a letter or digit, got {cfg.experiment_id!r}")
     if not cfg.seeds:
         raise ConfigError("seeds must be nonempty")
     if not all(isinstance(s, int) and not isinstance(s, bool)
@@ -248,32 +255,32 @@ def _validate_sections(cfg: SweepConfig) -> None:
             raise ConfigError(f"unknown variant '{v}'")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    own = KIND_KEYS[cfg.experiment]
+    for key in dict.fromkeys(itertools.chain(*KIND_KEYS.values())):
+        value = getattr(cfg, key)
+        if key in own and value in (None, []):
+            raise ConfigError(f"{cfg.experiment} needs '{key}'")
+        if key not in own and value is not None:
+            raise ConfigError(f"{cfg.experiment} takes no '{key}'")
     if cfg.experiment == "linreg-sample":
-        if cfg.d is None or cfg.sigma is None or not cfg.n_grid or cfg.n_test is None:
-            raise ConfigError("linreg-sample needs d, sigma, n_grid and n_test")
-        if not _positive_int(cfg.d):
+        if not _int_at_least(cfg.d, 1):
             raise ConfigError("d must be a positive integer")
-        if not _positive_int(cfg.n_test):
+        if not _int_at_least(cfg.n_test, 1):
             raise ConfigError("n_test must be a positive integer")
         if not (math.isfinite(cfg.sigma) and cfg.sigma >= 0):
             raise ConfigError("sigma must be a finite number >= 0")
-        if not all(_positive_int(n) for n in cfg.n_grid):
+        if not all(_int_at_least(n, 1) for n in cfg.n_grid):
             raise ConfigError("n_grid must hold positive integers")
         if VARIANT_CONCAT in cfg.variants:
             # a concat cell builds its n^2-pair design for the train MSE
             n = max(cfg.n_grid)
             need = materialized_bytes(n, cfg.d)
-            if need > SWEEP_MATERIALIZE_BUDGET:
+            if need > MATERIALIZE_BUDGET:
                 raise ConfigError(
                     f"n_grid: the concat pair design at n = {n} needs "
-                    f"{need} bytes, over the "
-                    f"{SWEEP_MATERIALIZE_BUDGET}-byte budget")
+                    f"{need} bytes, over the {MATERIALIZE_BUDGET}-byte budget")
         return
-    if cfg.data is None or cfg.train is None:
-        raise ConfigError(f"{cfg.experiment} needs data and train sections")
-    if not cfg.widths:
-        raise ConfigError(f"{cfg.experiment} needs a nonempty widths grid")
-    if not all(_positive_int(w) for w in cfg.widths):
+    if not all(_int_at_least(w, 1) for w in cfg.widths):
         raise ConfigError("widths must hold positive integers")
     data = cfg.data
     if data.kind == "mixture":
@@ -295,22 +302,21 @@ def _validate_sections(cfg: SweepConfig) -> None:
         raise ConfigError(f"unknown data kind '{data.kind}'")
     for name in ("n", "d", "test_n"):
         value = getattr(data, name)
-        if value is not None and not _positive_int(value):
+        if value is not None and not _int_at_least(value, 1):
             raise ConfigError(f"data.{name} must be a positive integer")
     if data.kind == "mixture" and data.classes > data.n + data.test_n:
         raise ConfigError(
             f"data.classes = {data.classes} exceeds data.n + data.test_n = "
             f"{data.n + data.test_n}: every class needs a row")
     if not 0.0 <= data.noise_fraction <= 1.0:
-        raise ConfigError("noise_fraction must be in [0, 1]")
+        raise ConfigError(f"data.noise_fraction must be in [0, 1], "
+                          f"got {data.noise_fraction}")
     if cfg.experiment == "mlp-width" and cfg.train.epochs < 1:
         raise ConfigError("train.epochs must be >= 1 for mlp-width: each "
                           "cell reports its final epoch")
     if cfg.experiment == "biasvar":
-        if cfg.splits is None:
-            raise ConfigError("biasvar needs a splits section")
         splits = cfg.splits
-        if not (_positive_int(splits.k) and _positive_int(splits.split_size)):
+        if not all(_int_at_least(v, 1) for v in (splits.k, splits.split_size)):
             raise ConfigError("splits.k and splits.split_size must be "
                               "positive integers")
         if data.kind == "mixture" and splits.k * splits.split_size > data.n:
@@ -382,8 +388,8 @@ def build_base_data(cfg: SweepConfig, seed: int):
         train_ds = ClassificationDataset(train_x, train_ds.targets, train_ds.mode)
         test_ds = ClassificationDataset(test_x, test_ds.targets, test_ds.mode)
     if data.noise_fraction > 0.0:
-        train_ds = apply_label_noise(
-            train_ds, NoiseSpec(data.noise_fraction, mix_seed(seed, STREAM_NOISE)))
+        train_ds = apply_label_noise(train_ds, data.noise_fraction,
+                                     Rng(mix_seed(seed, STREAM_NOISE)))
     mode = TRAIN_LOSS_MODES[cfg.train.loss]
     return train_ds.with_mode(mode), test_ds.with_mode(mode)
 

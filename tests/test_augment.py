@@ -249,9 +249,11 @@ class TestMaterialize:
         np.testing.assert_array_equal(left, right)
 
     def test_budget_error_names_the_budget(self):
-        base = RegressionDataset(np.zeros((100, 10)), np.zeros(100))
-        with pytest.raises(MemoryBudgetError, match="1000-byte"):
-            materialize(ConcatView(base), max_bytes=1000)
+        # 30,000^2 pairs x 3 values x 8 bytes = 21.6 GB, refused before
+        # anything is allocated
+        base = RegressionDataset(np.zeros((30_000, 1)), np.zeros(30_000))
+        with pytest.raises(MemoryBudgetError, match="6442450944-byte"):
+            materialize(ConcatView(base))
 
     def test_matches_enumeration_order(self):
         base = small_classification(n=4)

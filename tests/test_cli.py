@@ -370,6 +370,40 @@ class TestSweepCommands:
             proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,override,key", [
+        ("mlp-sweep", "sigma=0.1", "sigma"),
+        ("mlp-sweep", 'splits={"k":2,"split_size":30}', "splits"),
+        ("linreg-sweep", "widths=[2]", "widths"),
+        ("linreg-sweep", 'train={"loss":"ce"}', "train")])
+    def test_another_kinds_key_exit_code_2(self, tmp_path, command, override,
+                                           key):
+        # a key the run never reads would show in the echo as if it did
+        if command == "linreg-sweep":
+            raw = tiny_linreg_config()
+        else:
+            raw = dict(tiny_biasvar_config(), experiment="mlp-width")
+            del raw["splits"]
+        cfg = write_config(tmp_path, raw)
+        proc = run_cli([command, "-c", str(cfg), "--set", override,
+                        "-o", str(tmp_path / "out")])
+        kind = raw["experiment"]
+        assert one_error_line(proc) == f"error: {kind} takes no '{key}'"
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment_id", [
+        "sub/run", "../escaped", "a,b", ".hidden"])
+    def test_experiment_id_must_be_a_plain_name(self, tmp_path,
+                                                experiment_id):
+        # the id is the output file stem and every CSV row's first cell
+        raw = dict(tiny_linreg_config(), experiment_id=experiment_id)
+        cfg = write_config(tmp_path, raw)
+        proc = run_cli(["linreg-sweep", "-c", str(cfg),
+                        "-o", str(tmp_path / "out")])
+        assert one_error_line(proc).startswith("error: experiment_id ")
+        assert proc.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_epochwise_is_no_experiment(self, tmp_path):
         # epoch curves are an mlp-sweep's _traces.csv
         raw = tiny_biasvar_config()

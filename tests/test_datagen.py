@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddlab import (ClassificationDataset, NoiseSpec, RegressionDataset, Rng,
+from ddlab import (ClassificationDataset, RegressionDataset, Rng,
                    apply_label_noise, gen_linreg, gen_mixture_classification,
                    one_hot, pinv_solve, sample_theta, split_k)
 from ddlab.datagen import MODE_AVERAGED, MODE_MULTI_HOT
@@ -86,18 +86,18 @@ class TestLabelNoise:
 
     def test_zero_fraction_identity(self):
         ds = self._base()
-        out = apply_label_noise(ds, NoiseSpec(0.0, 1))
+        out = apply_label_noise(ds, 0.0, Rng(1))
         np.testing.assert_array_equal(out.targets, ds.targets)
 
     def test_full_fraction_binary_flips_all(self):
         ds = self._base(n=20, c=2)
-        out = apply_label_noise(ds, NoiseSpec(1.0, 1))
+        out = apply_label_noise(ds, 1.0, Rng(1))
         np.testing.assert_array_equal(out.targets.argmax(1),
                                       1 - ds.targets.argmax(1))
 
     def test_exact_count_and_wrongness(self):
         ds = self._base(n=100, c=10)
-        out = apply_label_noise(ds, NoiseSpec(0.15, 3))
+        out = apply_label_noise(ds, 0.15, Rng(3))
         changed = np.flatnonzero(out.targets.argmax(1) != ds.targets.argmax(1))
         assert changed.size == 15
         untouched = np.setdiff1d(np.arange(100), changed)
@@ -106,15 +106,20 @@ class TestLabelNoise:
 
     def test_deterministic(self):
         ds = self._base()
-        a = apply_label_noise(ds, NoiseSpec(0.3, 42))
-        b = apply_label_noise(ds, NoiseSpec(0.3, 42))
+        a = apply_label_noise(ds, 0.3, Rng(42))
+        b = apply_label_noise(ds, 0.3, Rng(42))
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_soft_targets_rejected(self):
         soft = ClassificationDataset(np.zeros((2, 3)),
                                      np.full((2, 2), 0.5), MODE_AVERAGED)
         with pytest.raises(ValueError):
-            apply_label_noise(soft, NoiseSpec(0.5, 0))
+            apply_label_noise(soft, 0.5, Rng(0))
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="noise fraction"):
+            apply_label_noise(self._base(), fraction, Rng(0))
 
 
 class TestSplitK:

@@ -73,6 +73,12 @@ def test_wrong_magic(tmp_path):
     ip, lp = make_pair(tmp_path, np.zeros((1, 2, 2)), [0])
     with pytest.raises(IdxMagicError):
         load_idx(lp, ip)  # swapped arguments hit the magic check
+    with pytest.raises(IdxMagicError, match="bad images magic 0x00000801, "
+                                            "expected 0x00000803"):
+        read_idx_images(lp)
+    with pytest.raises(IdxMagicError, match="bad labels magic 0x00000803, "
+                                            "expected 0x00000801"):
+        read_idx_labels(ip)
 
 
 def test_truncated_file(tmp_path):
@@ -80,6 +86,17 @@ def test_truncated_file(tmp_path):
     ip.write_bytes(ip.read_bytes()[:-3])
     with pytest.raises(IdxTruncatedError):
         load_idx(ip, lp)
+
+
+def test_two_byte_file_is_truncated_for_every_reader(tmp_path):
+    ip, lp = make_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+    stub = tmp_path / "stub"
+    stub.write_bytes(b"\x08\x03")
+    for call in (lambda: inspect_idx(stub), lambda: read_idx_images(stub),
+                 lambda: read_idx_labels(stub), lambda: load_idx(stub, lp),
+                 lambda: load_idx(ip, stub)):
+        with pytest.raises(IdxTruncatedError, match="shorter than its header"):
+            call()
 
 
 def test_count_mismatch(tmp_path):

@@ -253,24 +253,46 @@ def test_streamed_concat_test_mse_is_bit_equal(n, n_test):
             mse(model, TEST_SETS[variant](test)), (seed, variant)
 
 
-def test_fig1_test_mse_matches_the_closed_form_risk():
+def cell_train(d, sigma, n, seed):
+    """(theta, train draw) of the (n, seed) cell, drawn as _sweep_cell
+    draws them."""
+    rng = Rng(mix_seed(seed, n))
+    theta = sample_theta(d, rng)
+    return theta, gen_linreg(n, d, sigma, theta, rng)
+
+
+def exact_risk(model, theta, sigma):
     # On x ~ N(0, I) with y = x . theta + sigma * noise, a fit predicting
-    # x . theta_eff has risk |theta_eff - theta|^2 + sigma^2, and n_test
-    # draws put its test MSE within about sqrt(2 / n_test) of it
-    # relatively.  theta_eff is theta_hat for standard and, as
-    # [x || x] . [a || b] = x . (a + b), the sum of the halves for concat.
+    # x . theta_eff has risk |theta_eff - theta|^2 + sigma^2.  theta_eff
+    # is theta_hat for standard and, as [x || x] . [a || b] = x . (a + b),
+    # the sum of the halves for concat.
+    theta_eff = model.theta_hat.reshape(-1, theta.shape[0]).sum(axis=0)
+    return float(np.sum((theta_eff - theta) ** 2)) + sigma ** 2
+
+
+def test_fig1_test_mse_matches_the_closed_form_risk():
+    # n_test draws put a fit's test MSE within about sqrt(2 / n_test) of
+    # its exact risk, relatively
     d, sigma, n_test = 30, 0.1, 10_000
     for n, seed in itertools.product(range(2, 101), range(2)):
         cells = _sweep_cell(d, sigma, n, n_test, seed, VARIANTS)
-        rng = Rng(mix_seed(seed, n))
-        theta = sample_theta(d, rng)
-        train = gen_linreg(n, d, sigma, theta, rng)
+        theta, train = cell_train(d, sigma, n, seed)
         for variant, (_, test_mse, _) in zip(VARIANTS, cells):
             model, _ = _fit(TRAIN_SOURCES[variant](train))
-            theta_eff = model.theta_hat.reshape(-1, d).sum(axis=0)
-            risk = float(np.sum((theta_eff - theta) ** 2)) + sigma ** 2
+            risk = exact_risk(model, theta, sigma)
             z = (test_mse / risk - 1) / math.sqrt(2 / n_test)
             assert abs(z) <= 5, (n, seed, variant, z)
+
+
+def test_concat_risk_equals_standard_risk_when_n_at_most_d():
+    # Up to n = d both fits have the same exact risk, so concatenation
+    # cannot move the linear peak, which sits at n = d
+    d, sigma = 30, 0.1
+    for n, seed in itertools.product(range(2, d + 1, 2), range(20)):
+        theta, train = cell_train(d, sigma, n, seed)
+        std, cat = (exact_risk(_fit(TRAIN_SOURCES[v](train))[0], theta, sigma)
+                    for v in VARIANTS)
+        assert abs(cat - std) <= 1e-12 * std, (n, seed, cat, std)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 29, 30])

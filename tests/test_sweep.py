@@ -105,6 +105,14 @@ def mixture_config(**overrides):
     return raw
 
 
+def kind_config(kind):
+    """A fresh copy of a valid config of experiment ``kind``."""
+    raw = {"linreg-sample": LINREG_BOTH_VARIANTS,
+           "mlp-width": TRAINING_GOLDEN["mlp-width-ce-adam"][0],
+           "biasvar": TRAINING_GOLDEN["biasvar"][0]}[kind]
+    return json.loads(json.dumps(raw))
+
+
 class TestConfigParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key 'sgima'"):
@@ -193,7 +201,8 @@ class TestConfigParsing:
          "train.optimizer.schedule.factor"),
         ("train.optimizer.schedule", {"factor": 0.1, "every_k_epochs": 0},
          "train.optimizer.schedule.every_k_epochs"),
-        ("train.loss", "hinge", None), ("data.classes", 121, None)])
+        ("train.loss", "hinge", None), ("data.classes", 121, None),
+        ("data.noise_fraction", 1.5, None)])
     def test_range_errors_name_the_dotted_key(self, path, value, key):
         # nnet's dataclasses check their own ranges; parsing prefixes the
         # section path to the field name their messages start with
@@ -205,6 +214,37 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
         assert str(info.value).startswith(f"{key or path} ")
+
+    @pytest.mark.parametrize("kind,key", [
+        ("linreg-sample", "n_grid"), ("linreg-sample", "sigma"),
+        ("mlp-width", "widths"), ("mlp-width", "data"), ("biasvar", "splits")])
+    def test_each_kind_needs_its_own_keys(self, kind, key):
+        # an empty list counts as missing
+        raw = kind_config(kind)
+        if isinstance(raw[key], list):
+            raw[key] = []
+        else:
+            del raw[key]
+        with pytest.raises(ConfigError, match=f"^{kind} needs '{key}'$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("mlp-width", "sigma", 0.1), ("mlp-width", "n_grid", [2]),
+        ("mlp-width", "splits", {"k": 2, "split_size": 30}),
+        ("linreg-sample", "widths", [2]), ("linreg-sample", "data", {}),
+        ("linreg-sample", "splits", {}), ("biasvar", "n_test", 10)])
+    def test_another_kinds_key_rejected(self, kind, key, value):
+        # the echo must not show a key the run never reads
+        raw = dict(kind_config(kind), **{key: value})
+        with pytest.raises(ConfigError, match=f"^{kind} takes no '{key}'$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("experiment_id", [
+        "", "sub/run", "../escaped", "a,b", ".hidden", "-x", "a b", "é"])
+    def test_experiment_id_must_be_a_plain_name(self, experiment_id):
+        raw = mixture_config(experiment_id=experiment_id)
+        with pytest.raises(ConfigError, match="^experiment_id must be letters, digits"):
+            parse_config(raw)
 
     def test_zero_epochs_allowed(self):
         raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
@@ -334,7 +374,8 @@ def _data_section(draw, idx_paths, min_n=1):
 def valid_raw_configs(draw, idx_paths):
     kind = draw(st.sampled_from(["linreg-sample", "mlp-width", "biasvar"]))
     raw = {"experiment": kind,
-           "experiment_id": draw(st.text(min_size=1, max_size=8))}
+           "experiment_id": draw(st.from_regex(
+               r"[A-Za-z0-9][A-Za-z0-9._-]{0,7}", fullmatch=True))}
     raw.update(draw(st.fixed_dictionaries({}, optional={
         "threads": _ints(1, 8), "out_dir": st.text(max_size=8)})))
     if kind == "biasvar":
