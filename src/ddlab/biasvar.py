@@ -17,10 +17,11 @@ normalization and perturbs row sums by at most c * 1e-300.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from . import nnet
 from .datagen import ClassificationDataset, split_k
 from .records import fmt_value
 from .rng import Rng, mix_seed
@@ -70,12 +71,15 @@ def log_geometric_mean(dists: list[ProbDist]) -> ProbDist:
     return ProbDist(_log_geo_mean_rows(np.log(stacked)))
 
 
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def _log_geo_mean_rows(log_probs: np.ndarray) -> np.ndarray:
     """Geometric-mean rows from (K, ..., c) log probabilities."""
-    mean_log = log_probs.mean(axis=0)
-    shifted = mean_log - mean_log.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return np.maximum(weights / weights.sum(axis=-1, keepdims=True), PROB_FLOOR)
+    return np.maximum(_softmax_rows(log_probs.mean(axis=0)), PROB_FLOOR)
 
 
 def kl(p: ProbDist, q: ProbDist) -> float:
@@ -154,12 +158,6 @@ class BiasVarianceRow:
 CSV_HEADER = ",".join(f.name for f in fields(BiasVarianceRow))
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
 def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
                            split_size: int, test_set: ClassificationDataset,
                            train_config, base_seed: int,
@@ -168,7 +166,8 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
     one per width, in ``widths`` order; ``CSV_HEADER`` heads their rows.
 
     k disjoint splits are drawn once (seeded from base_seed) and reused for
-    every width; split j trains with seed mix_seed(base_seed, j).  For every
+    every width; split j (counted from 0) trains with seed
+    mix_seed(base_seed, j + 1), stream 0 having drawn the splits.  For every
     test point the k predictive softmax distributions are decomposed and the
     test-set means reported, together with the subtraction-form bias
     (risk - variance) and the identity residual |risk - bias - variance|.
@@ -176,12 +175,10 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
     ``train_fn(width, splits, seeds) -> list[MlpModel]`` returns one fitted
     model per split and may be injected.  The default trains the k
     one-hidden-layer networks of a width as one stack, in a single
-    ``nnet.train`` call with ``train_config``; split j's model is
-    bit-identical to one trained on its own.  The k test-set softmaxes of
-    a width come from k single-model forward passes.
+    ``nnet.train`` call with ``train_config`` and the k seeds; split j's
+    model is bit-identical to one trained on its own.  The k test-set
+    softmaxes of a width come from k single-model forward passes.
     """
-    from . import nnet  # local import: biasvar stays import-light
-
     if not test_set.is_one_hot:
         raise ValueError("the decomposition needs a one-hot test set")
     if train_fn is None:
@@ -192,8 +189,7 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
             models = [nnet.init_mlp(split.dim, width, split.class_count,
                                     Rng(mix_seed(seed, 1)))
                       for split, seed in zip(splits, seeds)]
-            configs = [replace(train_config, seed=seed) for seed in seeds]
-            fitted, _ = nnet.train(models, splits, configs)
+            fitted, _ = nnet.train(models, splits, train_config, seeds)
             return fitted
 
     splits = split_k(train_set, k, split_size, Rng(mix_seed(base_seed, 0)))

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .datagen import ClassificationDataset, one_hot
+
 MAGIC_IMAGES = 0x00000803
 MAGIC_LABELS = 0x00000801
 
@@ -104,8 +106,6 @@ def load_idx(images_path, labels_path, class_count: int | None = None):
     is not given it is inferred as max(10, max label + 1); when it is
     given, a label at or above it is an ``IdxFormatError``.
     """
-    from .datagen import ClassificationDataset, one_hot  # local: avoid cycle
-
     pixels = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if pixels.shape[0] != labels.shape[0]:

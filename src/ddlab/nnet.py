@@ -36,14 +36,14 @@ same numpy and BLAS calls, on operands of the same shape and layout, as
 one model on its own, so a stack reproduces S separate models bit for bit
 wherever ``matmul`` and the reductions give per-slice identical results,
 which the tests check.  ``train`` runs a stack in one loop when given
-sequences of models, datasets and configs.
+sequences of models, datasets and seeds.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -297,8 +297,8 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "sgd"  # one of OPTIMIZER_KINDS
-    lr: float = 0.1
+    kind: str = "adam"  # one of OPTIMIZER_KINDS
+    lr: float = 0.001
     momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
@@ -425,10 +425,11 @@ def eval_loss(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: str
-    epochs: int
-    batch_size: int
-    seed: int
+    """How to train; its defaults are the config file's ``train`` defaults."""
+
+    loss: str = LOSS_CE
+    epochs: int = 100
+    batch_size: int = 32
     e_mult: int = 1
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
@@ -541,39 +542,37 @@ def _per_slice(value, count: int) -> list:
     return [float(v) for v in np.reshape(value, count)]
 
 
-def train(model: MlpModel, source, config: TrainConfig, test_set=None):
+def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
     """Train a copy of ``model`` on ``source``; the input model is untouched.
 
     Returns the fitted model and its list of ``EpochRecord``s, one per
-    epoch.  ``test_set``, if given, is evaluated after every epoch with
-    the training loss kind (plus argmax error if it is one-hot).  Fully
-    deterministic for a fixed seed.
+    epoch.  Epoch order is drawn from ``Rng(seed)``, so a run is fully
+    determined by its inputs and ``seed``.  ``test_set``, if given, is
+    evaluated after every epoch with the training loss kind (plus argmax
+    error if it is one-hot).
 
-    Given equal-length sequences of models, sources and configs instead,
-    the models train as one stack and ``train`` returns a list of fitted
-    models and one record list per slice.  The configs may differ only in
-    ``seed``, and the sources must be classification datasets of one shape.
-    Slice s draws its epoch permutations from ``Rng(configs[s].seed)``,
-    exactly as a separate call would, and its records equal that call's;
-    ``seconds`` is the epoch time of the whole stack.  A non-finite loss in
-    any slice raises ``TrainingDivergedError`` for the stack.
+    Given equal-length sequences of models, sources and seeds instead,
+    the models train as one stack under the one ``config``, and ``train``
+    returns a list of fitted models and one record list per slice.  The
+    sources must be classification datasets of one shape.  Slice s draws
+    its epoch permutations from ``Rng(seeds[s])``, exactly as a separate
+    call would, and its records equal that call's; ``seconds`` is the
+    epoch time of the whole stack.  A non-finite loss in any slice raises
+    ``TrainingDivergedError`` for the stack.
     """
     stacked = not isinstance(model, MlpModel)
     if stacked:
-        models, sources, configs = list(model), list(source), list(config)
-        if not len(models) == len(sources) == len(configs) >= 1:
+        models, sources, seeds = list(model), list(source), list(seed)
+        if not len(models) == len(sources) == len(seeds) >= 1:
             raise ValueError("a stack needs equally many models, sources "
-                             "and configs, at least one of each")
-        config = configs[0]
-        if any(replace(c, seed=config.seed) != config for c in configs):
-            raise ValueError("stacked configs may differ only in seed")
+                             "and seeds, at least one of each")
         model = MlpModel.stack(models)
         source = _stack_sources(sources, config.loss)
-        rngs = [Rng(c.seed) for c in configs]
+        rngs = [Rng(s) for s in seeds]
     else:
         _check_source_mode(source, config.loss)
         model = model.copy()
-        rngs = [Rng(config.seed)]
+        rngs = [Rng(seed)]
     train_one_hot = not isinstance(source, ConcatView) and source.is_one_hot
     count = len(rngs)
     state = make_optim_state(config.optimizer, model)
@@ -588,7 +587,8 @@ def train(model: MlpModel, source, config: TrainConfig, test_set=None):
         test_loss = test_error = None
         # overflow in a diverging run, in its steps or its evaluation, is
         # reported via the explicit non-finite loss check, not as numpy
-        # warnings
+        # warnings; an epoch's last step may blow up unseen until the
+        # evaluation after it, so that evaluation sits in the same try
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for X, T in _epoch_batches(source, config, rngs, buffers):
@@ -596,15 +596,15 @@ def train(model: MlpModel, source, config: TrainConfig, test_set=None):
                     opt_step(model, grads, state)
                     total_loss += loss * X.shape[-2]
                     total_rows += X.shape[-2]
+                train_error = (classify_error(model, source) if train_one_hot
+                               else None)
+                if test_set is not None:
+                    test_loss = eval_loss(model, test_set.features,
+                                          test_set.targets, config.loss)
+                    if test_set.is_one_hot:
+                        test_error = classify_error(model, test_set)
             except FloatingPointError as exc:
                 raise TrainingDivergedError(epoch) from exc
-            train_error = (classify_error(model, source) if train_one_hot
-                           else None)
-            if test_set is not None:
-                test_loss = eval_loss(model, test_set.features,
-                                      test_set.targets, config.loss)
-                if test_set.is_one_hot:
-                    test_error = classify_error(model, test_set)
         rows = zip(_per_slice(total_loss / total_rows, count),
                    _per_slice(train_error, count),
                    _per_slice(test_loss, count), _per_slice(test_error, count))

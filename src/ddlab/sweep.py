@@ -49,8 +49,7 @@ from .datagen import (ClassificationDataset, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
 from .linreg import linreg_sample_sweep
-from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, OptimizerConfig, TrainConfig,
-                   init_mlp, train)
+from .nnet import LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, init_mlp, train
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
@@ -62,6 +61,14 @@ KIND_KEYS = {
     "biasvar": ("data", "widths", "train", "splits"),
 }
 EXPERIMENT_KINDS = tuple(KIND_KEYS)
+# data kind -> the data keys it reads, under the same rule; kind,
+# noise_fraction and standardize are every data kind's
+DATA_KIND_KEYS = {
+    "mixture": ("n", "d", "classes", "separation", "test_n"),
+    "idx": ("images", "labels", "test_images", "test_labels", "n", "test_n"),
+}
+# kind -> the keys of its own it may leave out (idx then reads every row)
+OPTIONAL_KEYS = {"idx": ("n", "test_n")}
 
 # stream tags for mix_seed(seed, tag)
 STREAM_DATA = 1
@@ -95,32 +102,6 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class OptimizerSection(OptimizerConfig):
-    """``nnet.OptimizerConfig`` with the config file's defaults: Adam at
-    lr 1e-3.  Its range checks run when the section is parsed."""
-
-    kind: str = "adam"
-    lr: float = 0.001
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    loss: str = LOSS_CE
-    epochs: int = 100
-    batch_size: int = 32
-    e_mult: int = 1
-    optimizer: OptimizerSection = field(default_factory=OptimizerSection)
-
-    def __post_init__(self):
-        self.to_config(seed=0)  # nnet's TrainConfig holds the range checks
-
-    def to_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(loss=self.loss, epochs=self.epochs,
-                           batch_size=self.batch_size, seed=seed,
-                           e_mult=self.e_mult, optimizer=self.optimizer)
-
-
-@dataclass(frozen=True)
 class SplitsSection:
     k: int = 5
     split_size: int = 500
@@ -142,7 +123,7 @@ class SweepConfig:
     # network experiments
     data: DataSection | None = None
     widths: list | None = None
-    train: TrainSection | None = None
+    train: TrainConfig | None = None
     splits: SplitsSection | None = None
 
 
@@ -236,6 +217,19 @@ def validate_config(cfg: SweepConfig) -> None:
             seen.add(value)
 
 
+def _check_kind_keys(owner: str, section, table: dict, kind: str) -> None:
+    """``section`` sets each key ``table[kind]`` lists (an empty list counts
+    as unset), bar its ``OPTIONAL_KEYS``, and then no other kind's key."""
+    own = table[kind]
+    for key in own:
+        if (key not in OPTIONAL_KEYS.get(kind, ())
+                and getattr(section, key) in (None, [])):
+            raise ConfigError(f"{owner} needs '{key}'")
+    for key in dict.fromkeys(itertools.chain(*table.values())):
+        if key not in own and getattr(section, key) is not None:
+            raise ConfigError(f"{owner} takes no '{key}'")
+
+
 def _validate_sections(cfg: SweepConfig) -> None:
     if cfg.experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment '{cfg.experiment}'")
@@ -255,13 +249,7 @@ def _validate_sections(cfg: SweepConfig) -> None:
             raise ConfigError(f"unknown variant '{v}'")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
-    own = KIND_KEYS[cfg.experiment]
-    for key in dict.fromkeys(itertools.chain(*KIND_KEYS.values())):
-        value = getattr(cfg, key)
-        if key in own and value in (None, []):
-            raise ConfigError(f"{cfg.experiment} needs '{key}'")
-        if key not in own and value is not None:
-            raise ConfigError(f"{cfg.experiment} takes no '{key}'")
+    _check_kind_keys(cfg.experiment, cfg, KIND_KEYS, cfg.experiment)
     if cfg.experiment == "linreg-sample":
         if not _int_at_least(cfg.d, 1):
             raise ConfigError("d must be a positive integer")
@@ -283,23 +271,19 @@ def _validate_sections(cfg: SweepConfig) -> None:
     if not all(_int_at_least(w, 1) for w in cfg.widths):
         raise ConfigError("widths must hold positive integers")
     data = cfg.data
+    if data.kind not in DATA_KIND_KEYS:
+        raise ConfigError(f"unknown data kind '{data.kind}'")
+    _check_kind_keys(f"{data.kind} data", data, DATA_KIND_KEYS, data.kind)
     if data.kind == "mixture":
-        for name in ("n", "d", "classes", "separation", "test_n"):
-            if getattr(data, name) is None:
-                raise ConfigError(f"mixture data needs '{name}'")
         if not _int_at_least(data.classes, 2):
             raise ConfigError("data.classes must be an integer >= 2")
         if not (math.isfinite(data.separation) and data.separation > 0):
             raise ConfigError("data.separation must be a finite number > 0")
-    elif data.kind == "idx":
+    else:
         for name in ("images", "labels", "test_images", "test_labels"):
             path = getattr(data, name)
-            if path is None:
-                raise ConfigError(f"idx data needs '{name}'")
             if not Path(path).exists():
                 raise ConfigError(f"data file does not exist: {path}")
-    else:
-        raise ConfigError(f"unknown data kind '{data.kind}'")
     for name in ("n", "d", "test_n"):
         value = getattr(data, name)
         if value is not None and not _int_at_least(value, 1):
@@ -435,9 +419,8 @@ def _network_cell(cfg: SweepConfig, data, variant: str, width: int, seed: int):
                      Rng(mix_seed(seed, STREAM_INIT)))
     params = model.param_count
     ratio = params / train_ds.n  # denominator: pre-concatenation sample count
-    _, records = train(model, source,
-                       cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
-                       test_set=test_ds)
+    _, records = train(model, source, cfg.train,
+                       mix_seed(seed, STREAM_TRAIN), test_set=test_ds)
     epochs = [CurvePoint(
         cfg.experiment_id, variant, "epoch", float(rec.epoch),
         train_loss=rec.train_loss, train_error=rec.train_error,
@@ -457,8 +440,7 @@ def _linreg_cell(cfg: SweepConfig, n: int):
 def _biasvar_cell(cfg: SweepConfig, data, width: int, seed: int):
     return estimate_bias_variance(
         [width], data[0], cfg.splits.k, cfg.splits.split_size, data[1],
-        cfg.train.to_config(mix_seed(seed, STREAM_TRAIN)),
-        base_seed=mix_seed(seed, STREAM_SPLITS),
+        cfg.train, base_seed=mix_seed(seed, STREAM_SPLITS),
         config_id=cfg.experiment_id), []
 
 

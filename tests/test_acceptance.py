@@ -230,7 +230,7 @@ class TestCriterion7SplitEstimatorConsistency:
         full = gen_mixture_classification(3500, 20, 10, 4.0, rng)
         train_set = full.take(np.arange(2500))
         test_set = full.take(np.arange(2500, 3500))
-        cfg = TrainConfig(LOSS_CE, epochs=40, batch_size=32, seed=0,
+        cfg = TrainConfig(LOSS_CE, epochs=40, batch_size=32,
                           optimizer=OptimizerConfig("adam", lr=0.001))
         rows = estimate_bias_variance([2, 4, 8, 16, 32], train_set, k=5,
                                       split_size=500, test_set=test_set,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +147,7 @@ class TestEstimator:
 
     def test_rows_satisfy_identity_and_subtraction_form(self):
         full, test = self._data()
-        cfg = TrainConfig(LOSS_CE, epochs=8, batch_size=32, seed=0,
+        cfg = TrainConfig(LOSS_CE, epochs=8, batch_size=32,
                           optimizer=OptimizerConfig("adam", lr=0.01))
         rows = estimate_bias_variance(
             [2, 4, 8], full, k=3, split_size=90, test_set=test,
@@ -165,7 +164,7 @@ class TestEstimator:
         # the default hook trains the k splits of a width as one stack;
         # training each split on its own must give the same report bytes
         full, test = self._data()
-        cfg = TrainConfig(LOSS_CE, epochs=3, batch_size=32, seed=0,
+        cfg = TrainConfig(LOSS_CE, epochs=3, batch_size=32,
                           optimizer=OptimizerConfig("adam", lr=0.01))
 
         def serial(width, splits, seeds):
@@ -173,7 +172,7 @@ class TestEstimator:
             for split, seed in zip(splits, seeds):
                 model = init_mlp(split.dim, width, split.class_count,
                                  Rng(mix_seed(seed, 1)))
-                fitted.append(train(model, split, replace(cfg, seed=seed))[0])
+                fitted.append(train(model, split, cfg, seed)[0])
             return fitted
 
         args = ([2, 5], full, 3, 70, test, cfg, 13)

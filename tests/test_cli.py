@@ -190,6 +190,22 @@ class TestSweepCommands:
         return self._run_idx(tmp_path,
                              self._idx_config(tmp_path, counts, **data))
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("idx", "d", 9), ("mixture", "images", "nowhere")])
+    def test_another_data_kinds_key_exit_code_2(self, tmp_path, kind, key,
+                                                value):
+        # nothing reads the key, yet the echo would show it
+        if kind == "idx":
+            raw = self._idx_config(tmp_path, {"images": 4, "test_images": 3})
+        else:
+            raw = dict(tiny_biasvar_config(), experiment="mlp-width")
+            del raw["splits"]
+        raw["data"][key] = value
+        proc = self._run_idx(tmp_path, raw)
+        assert one_error_line(proc) == f"error: {kind} data takes no '{key}'"
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("empty", ["images", "test_images"])
     def test_idx_pair_without_images_exit_code_2(self, tmp_path, empty):
         counts = {"images": 4, "test_images": 3}

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,7 +203,7 @@ def test_epoch_gather_matches_per_step_gather(stack, n, d, c, epochs, seed,
                                      one_hot(rng.integers(c, size=n), c))
                for _ in range(stack or 1)]
     source = sources[0] if stack is None else _stack_sources(sources, LOSS_CE)
-    config = TrainConfig(LOSS_CE, epochs, batch_size, seed=0)
+    config = TrainConfig(LOSS_CE, epochs, batch_size)
     seeds = [seed + s for s in range(stack or 1)]
     rngs, ref_rngs = [Rng(s) for s in seeds], [Rng(s) for s in seeds]
     buffers = _epoch_buffers(source)
@@ -609,12 +608,12 @@ class TestConfigRanges:
         ("loss", "hinge"), ("epochs", -1), ("batch_size", 0),
         ("e_mult", 0)])
     def test_train_config_rejects(self, key, value):
-        fields = dict(loss=LOSS_CE, epochs=1, batch_size=1, seed=0)
+        fields = dict(loss=LOSS_CE, epochs=1, batch_size=1)
         with pytest.raises(ValueError, match=f"^{key} must be"):
             TrainConfig(**dict(fields, **{key: value}))
 
     def test_train_config_accepts_range_ends(self):
-        cfg = TrainConfig(LOSS_CE, epochs=0, batch_size=1, seed=0, e_mult=1)
+        cfg = TrainConfig(LOSS_CE, epochs=0, batch_size=1, e_mult=1)
         assert (cfg.epochs, cfg.batch_size, cfg.e_mult) == (0, 1, 1)
 
 
@@ -682,8 +681,7 @@ class TestTrain:
     def test_zero_epochs(self):
         ds = self._task()
         model = init_mlp(6, 4, 2, Rng(1))
-        fitted, records = train(model, ds,
-                                TrainConfig(LOSS_CE, 0, 16, seed=2))
+        fitted, records = train(model, ds, TrainConfig(LOSS_CE, 0, 16), 2)
         assert records == []
         np.testing.assert_array_equal(fitted.W1, model.W1)
 
@@ -691,7 +689,7 @@ class TestTrain:
         ds = self._task()
         model = init_mlp(6, 4, 2, Rng(1))
         w1 = model.W1.copy()
-        train(model, ds, TrainConfig(LOSS_CE, 3, 16, seed=2))
+        train(model, ds, TrainConfig(LOSS_CE, 3, 16), 2)
         np.testing.assert_array_equal(model.W1, w1)
 
     def test_separable_task_reaches_zero_train_error(self):
@@ -705,18 +703,18 @@ class TestTrain:
             != ds.targets[half:].argmax(1))
         assert probe_err < 0.02
         model = init_mlp(6, 16, 2, Rng(4))
-        cfg = TrainConfig(LOSS_CE, 200, 32, seed=5,
+        cfg = TrainConfig(LOSS_CE, 200, 32,
                           optimizer=OptimizerConfig("adam", lr=0.01))
-        fitted, records = train(model, ds, cfg)
+        fitted, records = train(model, ds, cfg, 5)
         assert records[-1].train_error == 0.0
 
     def test_bit_identical_reruns(self):
         ds = self._task()
-        cfg = TrainConfig(LOSS_CE, 5, 16, seed=11,
+        cfg = TrainConfig(LOSS_CE, 5, 16,
                           optimizer=OptimizerConfig("adam", lr=0.003))
         runs = []
         for _ in range(2):
-            fitted, records = train(init_mlp(6, 8, 2, Rng(3)), ds, cfg,
+            fitted, records = train(init_mlp(6, 8, 2, Rng(3)), ds, cfg, 11,
                                     test_set=ds)
             runs.append((fitted, [r.train_loss for r in records],
                          [r.test_loss for r in records]))
@@ -728,42 +726,53 @@ class TestTrain:
         ds = self._task(n=40)
         view = ConcatView(ds)
         ctest = build_concat_test(ds)
-        cfg = TrainConfig(LOSS_CE, 4, 16, seed=6, e_mult=2,
+        cfg = TrainConfig(LOSS_CE, 4, 16, e_mult=2,
                           optimizer=OptimizerConfig("adam", lr=0.01))
-        fitted, records = train(init_mlp(12, 8, 2, Rng(7)), view, cfg,
+        fitted, records = train(init_mlp(12, 8, 2, Rng(7)), view, cfg, 6,
                                 test_set=ctest)
         assert records[-1].train_error is None  # soft pair targets
         assert 0.0 <= records[-1].test_error <= 1.0
 
     def test_divergence_reports_epoch(self):
         ds = self._task()
-        cfg = TrainConfig(LOSS_CE, 10, 16, seed=8,
+        cfg = TrainConfig(LOSS_CE, 10, 16,
                           optimizer=OptimizerConfig("sgd", lr=1e18))
         with pytest.raises(TrainingDivergedError) as info:
-            train(init_mlp(6, 8, 2, Rng(9)), ds, cfg)
+            train(init_mlp(6, 8, 2, Rng(9)), ds, cfg, 8)
         assert info.value.epoch >= 1
+
+    def test_divergence_in_evaluation_reports_epoch(self):
+        # a step can leave weights whose test loss is no longer finite;
+        # the evaluation after it meets that before the next step does
+        ds = gen_mixture_classification(64, 3, 2, 3.0, Rng(0))
+        test = gen_mixture_classification(32, 3, 2, 3.0, Rng(1))
+        cfg = TrainConfig(LOSS_CE, 5, 64,
+                          optimizer=OptimizerConfig("sgd", lr=1e100))
+        with pytest.raises(TrainingDivergedError) as info:
+            train(init_mlp(3, 4, 2, Rng(2)), ds, cfg, 0, test_set=test)
+        assert info.value.epoch == 2
 
     def test_loss_mode_mismatch_rejected(self):
         ds = self._task()
         with pytest.raises(ValueError):
-            train(init_mlp(6, 4, 2, Rng(0)), ds,
-                  TrainConfig(LOSS_BCE, 1, 16, seed=0))
+            train(init_mlp(6, 4, 2, Rng(0)), ds, TrainConfig(LOSS_BCE, 1, 16),
+                  0)
 
     def test_regression_sources_rejected(self):
         # networks fit classification data; linreg fits regression data
         from ddlab import gen_linreg, sample_theta
         ds = gen_linreg(20, 4, 0.05, sample_theta(4, Rng(0)), Rng(1))
-        cfg = TrainConfig(LOSS_CE, 1, 16, seed=0)
+        cfg = TrainConfig(LOSS_CE, 1, 16)
         with pytest.raises(ValueError, match="classification data"):
-            train(init_mlp(4, 4, 1, Rng(0)), ds, cfg)
+            train(init_mlp(4, 4, 1, Rng(0)), ds, cfg, 0)
         with pytest.raises(ValueError, match="classification data"):
-            train(init_mlp(8, 4, 1, Rng(0)), ConcatView(ds), cfg)
+            train(init_mlp(8, 4, 1, Rng(0)), ConcatView(ds), cfg, 0)
         with pytest.raises(ValueError, match="concrete classification data"):
             train([init_mlp(4, 4, 1, Rng(j)) for j in range(2)], [ds, ds],
-                  [cfg, cfg])
+                  cfg, [0, 1])
         with pytest.raises(ValueError,
                            match=r"^loss must be ce or bce, got 'mse'$"):
-            TrainConfig(LOSS_MSE, 1, 16, seed=0)
+            TrainConfig(LOSS_MSE, 1, 16)
 
 
 class TestStackedTrain:
@@ -772,25 +781,27 @@ class TestStackedTrain:
         full = gen_mixture_classification(k * size, 5, 3, 3.0, Rng(60))
         return split_k(full, k, size, Rng(61))
 
-    def _configs(self, k, **changes):
-        base = TrainConfig(LOSS_CE, 4, 16, seed=0,
-                           optimizer=OptimizerConfig("adam", lr=0.01))
-        return [replace(base, seed=100 + j, **changes) for j in range(k)]
+    SEEDS = [100, 101, 102]
+
+    def _config(self, batch_size=16,
+                optimizer=OptimizerConfig("adam", lr=0.01)):
+        return TrainConfig(LOSS_CE, 4, batch_size, optimizer=optimizer)
 
     @pytest.mark.parametrize("opt", ["sgd", "momentum", "adam"])
     def test_one_stacked_call_equals_serial_calls(self, opt):
         splits = self._splits()
         test = gen_mixture_classification(30, 5, 3, 3.0, Rng(62))
-        configs = self._configs(3, optimizer=OptimizerConfig(
+        config = self._config(optimizer=OptimizerConfig(
             opt, lr=0.05, weight_decay=0.01))
         models = [init_mlp(5, 7, 3, Rng(70 + j)) for j in range(3)]
         before = [m.theta.copy() for m in models]
-        fitted, traces = train(models, splits, configs, test_set=test)
+        fitted, traces = train(models, splits, config, self.SEEDS,
+                               test_set=test)
         assert len(fitted) == len(traces) == 3
         for j in range(3):
             np.testing.assert_array_equal(models[j].theta, before[j])
-            alone, records = train(models[j], splits[j], configs[j],
-                                   test_set=test)
+            alone, records = train(models[j], splits[j], config,
+                                   self.SEEDS[j], test_set=test)
             assert np.array_equal(fitted[j].theta, alone.theta)
             assert len(traces[j]) == len(records) == 4
             for got, want in zip(traces[j], records):
@@ -805,46 +816,41 @@ class TestStackedTrain:
     def test_stack_without_test_set_equals_serial_calls(self):
         # the biasvar shape: k splits, no test set
         splits = self._splits(k=2, size=20)
-        configs = self._configs(2, batch_size=6)
+        config = self._config(batch_size=6)
         models = [init_mlp(5, 4, 3, Rng(80 + j)) for j in range(2)]
-        fitted, traces = train(models, splits, configs)
+        fitted, traces = train(models, splits, config, self.SEEDS[:2])
         for j in range(2):
-            alone, records = train(models[j], splits[j], configs[j])
+            alone, records = train(models[j], splits[j], config,
+                                   self.SEEDS[j])
             assert np.array_equal(fitted[j].theta, alone.theta)
             assert [(r.train_loss, r.train_error) for r in traces[j]] == \
                 [(r.train_loss, r.train_error) for r in records]
             assert traces[j][-1].test_loss is None  # no test set
             assert traces[j][-1].test_error is None
 
-    def test_configs_may_differ_only_in_seed(self):
-        splits = self._splits(k=2)
-        configs = self._configs(2)
-        configs[1] = replace(configs[1], epochs=5)
-        models = [init_mlp(5, 4, 3, Rng(j)) for j in range(2)]
-        with pytest.raises(ValueError, match="seed"):
-            train(models, splits, configs)
-
     def test_stack_needs_concrete_sources_of_one_shape(self):
         splits = self._splits(k=2)
         models = [init_mlp(5, 4, 3, Rng(j)) for j in range(2)]
-        configs = self._configs(2)
+        config, seeds = self._config(), self.SEEDS[:2]
         with pytest.raises(ValueError, match="concrete"):
-            train(models, [ConcatView(s) for s in splits], configs)
+            train(models, [ConcatView(s) for s in splits], config, seeds)
         short = splits[1].take(np.arange(40))
         with pytest.raises(ValueError, match="one shape"):
-            train(models, [splits[0], short], configs)
+            train(models, [splits[0], short], config, seeds)
         with pytest.raises(ValueError, match="equally many"):
-            train(models, splits[:1], configs)
+            train(models, splits[:1], config, seeds)
+        with pytest.raises(ValueError, match="equally many"):
+            train(models, splits, config, seeds[:1])
 
     def test_one_diverging_slice_fails_the_stack(self):
         (tame,) = self._splits(k=1, size=20)
         wild = ClassificationDataset(tame.features * 1e200, tame.targets)
         models = [init_mlp(5, 4, 3, Rng(j)) for j in range(2)]
-        configs = self._configs(2, batch_size=6,
-                                optimizer=OptimizerConfig("sgd", lr=0.01))
-        train([models[0]], [tame], configs[:1])  # the tame slice alone
+        config = self._config(batch_size=6,
+                              optimizer=OptimizerConfig("sgd", lr=0.01))
+        train([models[0]], [tame], config, self.SEEDS[:1])  # tame alone
         with pytest.raises(TrainingDivergedError) as info:
-            train(models, [tame, wild], configs)
+            train(models, [tame, wild], config, self.SEEDS[:2])
         assert info.value.epoch == 1
 
 

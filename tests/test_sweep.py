@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import (ConfigError, CurvePoint, load_idx, parse_config, run_config,
-                   summarize, sweep, write_idx)
+from ddlab import (ConfigError, CurvePoint, TrainConfig, load_idx,
+                   parse_config, run_config, summarize, sweep, write_idx)
 from ddlab.biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from ddlab.records import CSV_HEADER
 from ddlab.sweep import (build_base_data, config_to_dict, dataset_hash,
@@ -227,6 +227,40 @@ class TestConfigParsing:
             del raw[key]
         with pytest.raises(ConfigError, match=f"^{kind} needs '{key}'$"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("idx", "d", 9), ("idx", "classes", 7), ("idx", "separation", 2.0),
+        ("mixture", "images", "nowhere"), ("mixture", "test_labels", "x")])
+    def test_another_data_kinds_key_rejected(self, kind, key, value):
+        # an idx run reads no mixture key and a mixture run no file path
+        raw = kind_config("mlp-width")
+        if kind == "idx":
+            raw["data"] = {"kind": "idx", **{
+                name: "nowhere" for name in ("images", "labels",
+                                             "test_images", "test_labels")}}
+        raw["data"][key] = value
+        with pytest.raises(ConfigError,
+                           match=f"^{kind} data takes no '{key}'$"):
+            parse_config(raw)
+
+    def test_idx_data_may_leave_out_its_row_counts(self):
+        # without n and test_n an idx run reads every row of its files
+        raw = kind_config("mlp-width")
+        raw["data"] = {"kind": "idx", "images": "nowhere", "labels": "a",
+                       "test_images": "b", "test_labels": "c"}
+        with pytest.raises(ConfigError,
+                           match="^data file does not exist: nowhere$"):
+            parse_config(raw)
+
+    def test_empty_train_section_takes_the_documented_defaults(self):
+        raw = kind_config("mlp-width")
+        raw["train"] = {}
+        train = parse_config(raw).train
+        assert train == TrainConfig()
+        assert (train.loss, train.epochs, train.batch_size, train.e_mult) \
+            == ("ce", 100, 32, 1)
+        assert (train.optimizer.kind, train.optimizer.lr) == ("adam", 0.001)
+        assert train.optimizer.schedule is None
 
     @pytest.mark.parametrize("kind,key,value", [
         ("mlp-width", "sigma", 0.1), ("mlp-width", "n_grid", [2]),
