@@ -22,7 +22,7 @@ from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
 from .rng import Rng
 
 # a sample-sweep grid (n <= a few hundred) has pair designs of megabytes;
-# validate_config rejects a concat grid past this cap before any cell runs
+# SweepConfig rejects a concat grid past this cap before any cell runs
 MATERIALIZE_BUDGET = 6 << 30
 
 

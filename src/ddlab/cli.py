@@ -119,8 +119,10 @@ def _run_sweep_command(command: str, args) -> int:
             f"subcommand '{command}'")
     print(json.dumps(config_to_dict(cfg), indent=2))
     out_dir = cfg.out_dir or f"runs/{cfg.experiment_id}"
-    result = run_config(cfg, out_dir, verbose=args.verbose)
+    result = run_config(cfg, out_dir)
     if args.verbose:
+        for cell, error in result.failures:
+            print(f"cell {cell} failed: {error}", file=sys.stderr)
         print(f"wrote results to {out_dir}", file=sys.stderr)
     return 1 if result.failures else 0
 

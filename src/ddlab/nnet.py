@@ -314,7 +314,8 @@ class OptimizerConfig:
         for key in ("momentum", "beta1", "beta2"):
             value = getattr(self, key)
             _require(0.0 <= value < 1.0, key, "in [0, 1)", value)
-        _require(self.eps > 0, "eps", "> 0", self.eps)
+        _require(math.isfinite(self.eps) and self.eps > 0, "eps",
+                 "a finite number > 0", self.eps)
         _require(math.isfinite(self.weight_decay) and self.weight_decay >= 0,
                  "weight_decay", "a finite number >= 0", self.weight_decay)
 

@@ -29,7 +29,6 @@ import math
 import os
 import platform
 import re
-import sys
 import threading
 import types
 import typing
@@ -49,7 +48,8 @@ from .datagen import (ClassificationDataset, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
 from .linreg import linreg_sample_sweep
-from .nnet import LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, init_mlp, train
+from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, _require, init_mlp,
+                   train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
@@ -83,6 +83,15 @@ class ConfigError(ValueError):
 
 
 # -- config schema -------------------------------------------------------------
+#
+# A section checks the values it holds (None is unset) when it is built,
+# parsed or not; which keys each kind reads, and the rules that hang on a
+# kind, are SweepConfig's.  A range rule is one ``_require``, whose message
+# starts with the field's key; parsing prefixes the section path.
+
+
+def _int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -100,11 +109,28 @@ class DataSection:
     test_labels: str | None = None
     standardize: bool = False
 
+    def __post_init__(self):
+        _require(self.kind in DATA_KIND_KEYS, "kind",
+                 " or ".join(DATA_KIND_KEYS), self.kind)
+        for key, low in (("n", 1), ("d", 1), ("test_n", 1), ("classes", 2)):
+            value = getattr(self, key)
+            _require(value is None or _int_at_least(value, low), key,
+                     f"an integer >= {low}", value)
+        _require(self.separation is None or 0 < self.separation < math.inf,
+                 "separation", "a finite number > 0", self.separation)
+        _require(0.0 <= self.noise_fraction <= 1.0, "noise_fraction",
+                 "in [0, 1]", self.noise_fraction)
+
 
 @dataclass(frozen=True)
 class SplitsSection:
     k: int = 5
     split_size: int = 500
+
+    def __post_init__(self):
+        for key in ("k", "split_size"):
+            _require(_int_at_least(getattr(self, key), 1), key,
+                     "an integer >= 1", getattr(self, key))
 
 
 @dataclass(frozen=True)
@@ -125,6 +151,89 @@ class SweepConfig:
     widths: list | None = None
     train: TrainConfig | None = None
     splits: SplitsSection | None = None
+
+    def __post_init__(self):
+        _require(self.experiment in EXPERIMENT_KINDS, "experiment",
+                 f"one of {', '.join(EXPERIMENT_KINDS)}", self.experiment)
+        # the id is a file name stem and every CSV row's first cell
+        _require(re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*",
+                              self.experiment_id), "experiment_id",
+                 "letters, digits, '.', '_' or '-', led by a letter or digit",
+                 self.experiment_id)
+        # Rng reduces seeds mod 2^64: two outside [0, 2^64) could alias
+        _require(self.seeds and all(_int_at_least(s, 0) and s < 2**64
+                                    for s in self.seeds), "seeds",
+                 "a nonempty list of integers in [0, 2**64)", self.seeds)
+        _require(self.variants and all(v in VARIANTS for v in self.variants),
+                 "variants", f"a nonempty list from {', '.join(VARIANTS)}",
+                 self.variants)
+        _require(_int_at_least(self.threads, 1), "threads", "an integer >= 1",
+                 self.threads)
+        _check_kind_keys(self.experiment, self, KIND_KEYS, self.experiment)
+        for key in ("d", "n_test"):
+            value = getattr(self, key)
+            _require(value is None or _int_at_least(value, 1), key,
+                     "an integer >= 1", value)
+        _require(self.sigma is None or 0 <= self.sigma < math.inf, "sigma",
+                 "a finite number >= 0", self.sigma)
+        for key in ("n_grid", "widths"):
+            values = getattr(self, key)
+            _require(values is None or all(_int_at_least(v, 1) for v in values),
+                     key, "a list of integers >= 1", values)
+        if self.n_grid and VARIANT_CONCAT in self.variants:
+            # a concat cell builds its n^2-pair design for the train MSE
+            n = max(self.n_grid)
+            need = materialized_bytes(n, self.d)
+            _require(need <= MATERIALIZE_BUDGET, "n_grid",
+                     f"within the concat pair design's {MATERIALIZE_BUDGET}"
+                     f"-byte budget ({need} bytes at n = {n})", n)
+        data, splits = self.data, self.splits
+        if data is not None:  # a network kind, whose keys are all set
+            _check_kind_keys(f"{data.kind} data", data, DATA_KIND_KEYS,
+                             data.kind)
+            if data.kind == "idx":
+                for key in ("images", "labels", "test_images", "test_labels"):
+                    path = getattr(data, key)
+                    _require(Path(path).exists(), f"data.{key}",
+                             "an existing file", path)
+            else:
+                _require(data.classes <= data.n + data.test_n, "data.classes",
+                         f"<= data.n + data.test_n = {data.n + data.test_n} "
+                         f"(every class needs a row)", data.classes)
+            _require(self.experiment == "biasvar" or self.train.epochs >= 1,
+                     "train.epochs", ">= 1 for mlp-width (each cell reports "
+                     "its final epoch)", self.train.epochs)
+        if self.experiment == "biasvar":
+            if data.kind == "mixture":
+                need = splits.k * splits.split_size
+                _require(need <= data.n, "splits.k * splits.split_size",
+                         f"<= data.n = {data.n}", need)
+            _require(self.variants == [VARIANT_STANDARD], "variants",
+                     '["standard"] for biasvar, which runs on standard inputs',
+                     self.variants)
+            _require(len(self.seeds) == 1, "seeds", "a single seed for "
+                     "biasvar, which trains one split ensemble", self.seeds)
+            _require(self.train.loss == LOSS_CE, "train.loss",
+                     "ce for biasvar (categorical outputs)", self.train.loss)
+        # a repeated seed or grid point would run, and count, twice
+        for key in ("seeds", "variants", "widths", "n_grid"):
+            values = getattr(self, key) or ()
+            for i, value in enumerate(values):
+                _require(value not in values[:i], key,
+                         f"distinct ({value!r} repeats)", values)
+
+
+def _check_kind_keys(owner: str, section, table: dict, kind: str) -> None:
+    """``section`` sets each key ``table[kind]`` lists (an empty list counts
+    as unset), bar its ``OPTIONAL_KEYS``, and then no other kind's key."""
+    own = table[kind]
+    for key in own:
+        if (key not in OPTIONAL_KEYS.get(kind, ())
+                and getattr(section, key) in (None, [])):
+            raise ValueError(f"{owner} needs '{key}'")
+    for key in dict.fromkeys(itertools.chain(*table.values())):
+        if key not in own and getattr(section, key) is not None:
+            raise ValueError(f"{owner} takes no '{key}'")
 
 
 def _coerce(value, annotation, path):
@@ -180,14 +289,12 @@ def _parse_dataclass(cls, data: dict, prefix: str = ""):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        # a section's own range check; its message starts with the key name
-        raise ConfigError(f"{prefix}.{exc}") from None
+        # a section's own check; a range rule's message starts with its key
+        raise ConfigError(f"{prefix}.{exc}" if prefix else str(exc)) from None
 
 
 def parse_config(raw: dict) -> SweepConfig:
-    cfg = _parse_dataclass(SweepConfig, raw)
-    validate_config(cfg)
-    return cfg
+    return _parse_dataclass(SweepConfig, raw)
 
 
 def config_to_dict(cfg: SweepConfig) -> dict:
@@ -199,122 +306,6 @@ def config_to_dict(cfg: SweepConfig) -> dict:
         return obj
 
     return prune(dataclasses.asdict(cfg))
-
-
-def _int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
-def validate_config(cfg: SweepConfig) -> None:
-    _validate_sections(cfg)
-    # a repeated seed or grid point would run, and count in the medians, twice
-    for key in ("seeds", "variants", "widths", "n_grid"):
-        seen = set()
-        for value in getattr(cfg, key) or ():
-            if value in seen:
-                raise ConfigError(f"{key} repeats {value!r}: each entry "
-                                  f"must be distinct")
-            seen.add(value)
-
-
-def _check_kind_keys(owner: str, section, table: dict, kind: str) -> None:
-    """``section`` sets each key ``table[kind]`` lists (an empty list counts
-    as unset), bar its ``OPTIONAL_KEYS``, and then no other kind's key."""
-    own = table[kind]
-    for key in own:
-        if (key not in OPTIONAL_KEYS.get(kind, ())
-                and getattr(section, key) in (None, [])):
-            raise ConfigError(f"{owner} needs '{key}'")
-    for key in dict.fromkeys(itertools.chain(*table.values())):
-        if key not in own and getattr(section, key) is not None:
-            raise ConfigError(f"{owner} takes no '{key}'")
-
-
-def _validate_sections(cfg: SweepConfig) -> None:
-    if cfg.experiment not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment '{cfg.experiment}'")
-    # the id is a file name stem and every CSV row's first cell
-    if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", cfg.experiment_id):
-        raise ConfigError(f"experiment_id must be letters, digits, '.', '_' or "
-                          f"'-', led by a letter or digit, got {cfg.experiment_id!r}")
-    if not cfg.seeds:
-        raise ConfigError("seeds must be nonempty")
-    if not all(isinstance(s, int) and not isinstance(s, bool)
-               for s in cfg.seeds):
-        raise ConfigError("seeds must be integers")
-    if not cfg.variants:
-        raise ConfigError("variants must be nonempty")
-    for v in cfg.variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant '{v}'")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    _check_kind_keys(cfg.experiment, cfg, KIND_KEYS, cfg.experiment)
-    if cfg.experiment == "linreg-sample":
-        if not _int_at_least(cfg.d, 1):
-            raise ConfigError("d must be a positive integer")
-        if not _int_at_least(cfg.n_test, 1):
-            raise ConfigError("n_test must be a positive integer")
-        if not (math.isfinite(cfg.sigma) and cfg.sigma >= 0):
-            raise ConfigError("sigma must be a finite number >= 0")
-        if not all(_int_at_least(n, 1) for n in cfg.n_grid):
-            raise ConfigError("n_grid must hold positive integers")
-        if VARIANT_CONCAT in cfg.variants:
-            # a concat cell builds its n^2-pair design for the train MSE
-            n = max(cfg.n_grid)
-            need = materialized_bytes(n, cfg.d)
-            if need > MATERIALIZE_BUDGET:
-                raise ConfigError(
-                    f"n_grid: the concat pair design at n = {n} needs "
-                    f"{need} bytes, over the {MATERIALIZE_BUDGET}-byte budget")
-        return
-    if not all(_int_at_least(w, 1) for w in cfg.widths):
-        raise ConfigError("widths must hold positive integers")
-    data = cfg.data
-    if data.kind not in DATA_KIND_KEYS:
-        raise ConfigError(f"unknown data kind '{data.kind}'")
-    _check_kind_keys(f"{data.kind} data", data, DATA_KIND_KEYS, data.kind)
-    if data.kind == "mixture":
-        if not _int_at_least(data.classes, 2):
-            raise ConfigError("data.classes must be an integer >= 2")
-        if not (math.isfinite(data.separation) and data.separation > 0):
-            raise ConfigError("data.separation must be a finite number > 0")
-    else:
-        for name in ("images", "labels", "test_images", "test_labels"):
-            path = getattr(data, name)
-            if not Path(path).exists():
-                raise ConfigError(f"data file does not exist: {path}")
-    for name in ("n", "d", "test_n"):
-        value = getattr(data, name)
-        if value is not None and not _int_at_least(value, 1):
-            raise ConfigError(f"data.{name} must be a positive integer")
-    if data.kind == "mixture" and data.classes > data.n + data.test_n:
-        raise ConfigError(
-            f"data.classes = {data.classes} exceeds data.n + data.test_n = "
-            f"{data.n + data.test_n}: every class needs a row")
-    if not 0.0 <= data.noise_fraction <= 1.0:
-        raise ConfigError(f"data.noise_fraction must be in [0, 1], "
-                          f"got {data.noise_fraction}")
-    if cfg.experiment == "mlp-width" and cfg.train.epochs < 1:
-        raise ConfigError("train.epochs must be >= 1 for mlp-width: each "
-                          "cell reports its final epoch")
-    if cfg.experiment == "biasvar":
-        splits = cfg.splits
-        if not all(_int_at_least(v, 1) for v in (splits.k, splits.split_size)):
-            raise ConfigError("splits.k and splits.split_size must be "
-                              "positive integers")
-        if data.kind == "mixture" and splits.k * splits.split_size > data.n:
-            raise ConfigError(
-                f"splits.k * splits.split_size = "
-                f"{splits.k * splits.split_size} exceeds data.n = {data.n}")
-        if cfg.variants != [VARIANT_STANDARD]:
-            raise ConfigError("the biasvar experiment runs on standard inputs: "
-                              "variants must be [\"standard\"]")
-        if len(cfg.seeds) != 1:
-            raise ConfigError("the biasvar experiment trains one split "
-                              "ensemble: seeds must hold exactly one seed")
-        if cfg.train.loss != LOSS_CE:
-            raise ConfigError("biasvar needs the ce loss (categorical outputs)")
 
 
 # -- dataset assembly -----------------------------------------------------------
@@ -490,7 +481,8 @@ RUNNERS = {
     "biasvar": biasvar_cells,
 }
 # Biasvar cells run serially whatever ``threads`` says: a width's k splits
-# already train as one stack.  The README gives the measurements.
+# already train as one stack, and a pool made biasvar_mixture slower and
+# larger (README, under ``--threads``).
 POOLED_KINDS = ("linreg-sample", "mlp-width")
 
 
@@ -689,7 +681,7 @@ def write_manifest(path, cfg: SweepConfig, result: SweepResult) -> None:
     _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
+def run_config(cfg: SweepConfig, out_dir) -> SweepResult:
     """Run a sweep and write CSV outputs plus the manifest into out_dir."""
     cells, hashes = _plan(cfg)
     out = Path(out_dir)
@@ -703,7 +695,4 @@ def run_config(cfg: SweepConfig, out_dir, verbose: bool = False) -> SweepResult:
         write_points_csv(out / f"{cfg.experiment_id}_traces.csv",
                          result.trace_points)
     write_manifest(out / f"{cfg.experiment_id}_manifest.json", cfg, result)
-    if verbose:
-        for cell, error in result.failures:
-            print(f"cell {cell} failed: {error}", file=sys.stderr)
     return result

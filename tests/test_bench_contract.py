@@ -84,6 +84,22 @@ def test_every_measured_span_is_a_public_function(tracer, workloads):
         assert not name.startswith("_"), span
 
 
+def test_every_workload_config_parses_to_what_run_reads(workloads):
+    # run.py reads cfg.data and cfg.seeds of every parsed workload config,
+    # and the tracer and its self-test rebind each runner in sweep.RUNNERS
+    from ddlab import sweep
+    for name in workloads.WORKLOADS:
+        raw = workloads.workload_config(
+            name, workloads.DEFAULT_SEED,
+            Path(ddlab.__file__).parent / "presets")
+        cfg = parse_config(raw)
+        assert cfg.seeds == raw["seeds"], name
+        assert (cfg.data is None) == (cfg.experiment == "linreg-sample"), name
+    assert set(sweep.RUNNERS) == set(sweep.EXPERIMENT_KINDS)
+    for runner in sweep.RUNNERS.values():
+        assert isinstance(runner, types.FunctionType)
+
+
 def test_materialize_amount_reads_the_view(tracer):
     base = ClassificationDataset(np.zeros((3, 2)), one_hot([0, 1, 2], 3))
     view = ConcatView(base)

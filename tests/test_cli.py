@@ -126,6 +126,17 @@ class TestSweepCommands:
                         str(tmp_path / "out")], env_extra={"DDLAB_SEED": "41"})
         assert json.loads(proc.stdout)["seeds"] == [41]
 
+    def test_env_seed_outside_the_stream_range_exit_code_2(self, tmp_path):
+        # Rng reduces seeds mod 2^64, so -1 would run seed 2^64 - 1's streams
+        cfg = write_config(tmp_path, tiny_linreg_config())
+        proc = run_cli(["linreg-sweep", "-c", str(cfg), "-o",
+                        str(tmp_path / "out")], env_extra={"DDLAB_SEED": "-1"})
+        assert one_error_line(proc) == (
+            "error: seeds must be a nonempty list of integers in [0, 2**64), "
+            "got [-1]")
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
     def test_failed_cell_exits_1_but_writes_outputs(self, tmp_path):
         raw = {
             "experiment": "mlp-width", "experiment_id": "boom",
@@ -430,7 +441,8 @@ class TestSweepCommands:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
-            "error: unknown experiment 'epochwise'"]
+            "error: experiment must be one of linreg-sample, mlp-width, "
+            "biasvar, got 'epochwise'"]
         # the subcommand is gone too: argparse refuses it
         assert run_cli(["epochwise", "-c", str(cfg)]).returncode == 2
 

@@ -18,7 +18,7 @@ from ddlab import (ConfigError, CurvePoint, TrainConfig, load_idx,
 from ddlab.biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from ddlab.records import CSV_HEADER
 from ddlab.sweep import (build_base_data, config_to_dict, dataset_hash,
-                         run_sweep, validate_config)
+                         run_sweep)
 
 
 LINREG_BOTH_VARIANTS = {
@@ -156,12 +156,21 @@ class TestConfigParsing:
         ("n_test", 40.0), ("sigma", -0.1), ("sigma", float("nan")),
         ("sigma", float("inf"))])
     def test_linreg_section_rejects_bad_values(self, key, value):
-        # validate_config also guards configs built without parse_config,
+        # SweepConfig also guards configs built without parse_config,
         # where no type coercion has run
-        cfg = dataclasses.replace(parse_config(LINREG_BOTH_VARIANTS),
-                                  **{key: value})
-        with pytest.raises(ConfigError, match=f"{key} must be a"):
-            validate_config(cfg)
+        cfg = parse_config(LINREG_BOTH_VARIANTS)
+        with pytest.raises(ValueError, match=f"^{key} must be a"):
+            dataclasses.replace(cfg, **{key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("threads", 0), ("seeds", [0, 0]), ("variants", ["x"])])
+    def test_replaced_config_is_checked(self, key, value):
+        # a config changed in code gets the rules a parsed one does
+        from importlib import resources
+        raw = json.loads(resources.files("ddlab").joinpath(
+            "presets", "fig1.json").read_text())
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            dataclasses.replace(parse_config(raw), **{key: value})
 
     @pytest.mark.parametrize("key,value", [
         ("seeds", [0, 1]), ("variants", ["concat"]),
@@ -202,18 +211,43 @@ class TestConfigParsing:
         ("train.optimizer.schedule", {"factor": 0.1, "every_k_epochs": 0},
          "train.optimizer.schedule.every_k_epochs"),
         ("train.loss", "hinge", None), ("data.classes", 121, None),
-        ("data.noise_fraction", 1.5, None)])
+        ("data.noise_fraction", 1.5, None),
+        ("train.optimizer.eps", float("inf"), None),
+        ("experiment", "epochwise", None), ("seeds", [], None),
+        ("seeds", [True], None),
+        # Rng reduces a seed mod 2^64: each pair would run one stream twice
+        ("mlp-width:seeds", [0, 2**64], None),
+        ("mlp-width:seeds", [-1, 2**64 - 1], None),
+        ("variants", ["x"], None), ("variants", [], None),
+        ("threads", 0, None), ("linreg-sample:d", 0, None),
+        ("linreg-sample:n_test", 0, None), ("linreg-sample:sigma", -0.1, None),
+        ("linreg-sample:n_grid", [0], None),
+        ("linreg-sample:n_grid", [10**4], None), ("widths", [0], None),
+        ("data.kind", "csv", None), ("data.n", 0, None), ("data.d", 0, None),
+        ("data.test_n", 0, None), ("data.classes", 1, None),
+        ("data.separation", float("nan"), None),
+        ("data.noise_fraction", -0.1, None),
+        ("mlp-width:data", {"kind": "idx", "images": "nowhere", "labels": "a",
+                            "test_images": "b", "test_labels": "c"},
+         "data.images"),
+        ("splits.k", 0, None), ("splits.split_size", 0, None),
+        ("splits.split_size", 31, "splits.k * splits.split_size"),
+        ("mlp-width:train.epochs", 0, None), ("variants", ["concat"], None),
+        ("seeds", [0, 1], None), ("train.loss", "bce", None)])
     def test_range_errors_name_the_dotted_key(self, path, value, key):
-        # nnet's dataclasses check their own ranges; parsing prefixes the
-        # section path to the field name their messages start with
-        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        # every section checks its own ranges; parsing prefixes the section
+        # path to the field name their messages start with.  A path may
+        # name its base config's kind, "kind:path"; the default is the
+        # tiny biasvar config (n = 90 = 3 splits x 30 rows).
+        kind, _, path = path.rpartition(":")
+        raw = kind_config(kind or "biasvar")
         node, *keys = raw, *path.split(".")
         for part in keys[:-1]:
             node = node[part]
         node[keys[-1]] = value
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
-        assert str(info.value).startswith(f"{key or path} ")
+        assert str(info.value).startswith(f"{key or path} must be ")
 
     @pytest.mark.parametrize("kind,key", [
         ("linreg-sample", "n_grid"), ("linreg-sample", "sigma"),
@@ -248,8 +282,9 @@ class TestConfigParsing:
         raw = kind_config("mlp-width")
         raw["data"] = {"kind": "idx", "images": "nowhere", "labels": "a",
                        "test_images": "b", "test_labels": "c"}
-        with pytest.raises(ConfigError,
-                           match="^data file does not exist: nowhere$"):
+        with pytest.raises(
+                ConfigError,
+                match="^data.images must be an existing file, got 'nowhere'$"):
             parse_config(raw)
 
     def test_empty_train_section_takes_the_documented_defaults(self):
@@ -296,7 +331,9 @@ class TestConfigParsing:
         # epoch curves are an mlp-width sweep's _traces.csv
         raw = json.loads(json.dumps(TRAINING_GOLDEN["epochwise-sgd"][0]))
         raw["experiment"] = "epochwise"
-        with pytest.raises(ConfigError, match="unknown experiment 'epochwise'"):
+        with pytest.raises(ConfigError, match=(
+                "^experiment must be one of linreg-sample, mlp-width, "
+                "biasvar, got 'epochwise'$")):
             parse_config(raw)
 
     @pytest.mark.parametrize("key,value,repeated", [
@@ -309,7 +346,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
         assert str(info.value) == (
-            f"{key} repeats {repeated}: each entry must be distinct")
+            f"{key} must be distinct ({repeated} repeats), got {value!r}")
 
     @pytest.mark.parametrize("kind", ["mlp-width", "biasvar"])
     def test_mse_loss_rejected_on_network_sweeps(self, kind):
@@ -326,8 +363,9 @@ class TestConfigParsing:
         assert parse_config(raw).n_grid == [100, 3633]
         raw["n_grid"] = [3634, 100]
         with pytest.raises(ConfigError, match=(
-                r"^n_grid: the concat pair design at n = 3634 needs "
-                r"6444506528 bytes, over the 6442450944-byte budget$")):
+                r"^n_grid must be within the concat pair design's "
+                r"6442450944-byte budget \(6444506528 bytes at n = 3634\), "
+                r"got 3634$")):
             parse_config(raw)
         # standard cells build no pair design, so any n is accepted
         raw.update(variants=["standard"], n_grid=[4000])
@@ -841,7 +879,9 @@ class TestPresets:
         assert len(raw["seeds"]) == 3
 
     def test_seed_type_validation(self):
-        with pytest.raises(ConfigError, match="seeds must be integers"):
+        with pytest.raises(ConfigError, match=(
+                r"^seeds must be a nonempty list of integers in \[0, 2\*\*64\), "
+                r"got \[True\]$")):
             parse_config(mixture_config(seeds=[True]))
 
 
