@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .augment import (ConcatView, MemoryBudgetError, build_concat_test,
                       materialize, sample_pairs)
-from .biasvar import (BiasVarianceRow, ProbDist, decompose_point,
-                      estimate_bias_variance, kl, log_geometric_mean)
+from .biasvar import BiasVarianceRow, estimate_bias_variance
 from .datagen import (ClassificationDataset, RegressionDataset,
                       apply_label_noise, gen_linreg,
                       gen_mixture_classification, one_hot, sample_theta,

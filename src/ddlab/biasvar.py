@@ -7,8 +7,8 @@ distributions pi_hat_1..K, the mean cross entropy splits exactly as
 
 where pi_bar is the normalized geometric mean of the predictions,
 computed in log space.  The first term is the bias, the second the
-variance.  The identity needs pi to have zero entropy, which is why the
-per-point decomposition insists on one-hot labels.
+variance.  The identity needs pi to have zero entropy, which is why
+``decompose_batch`` insists on one-hot labels.
 
 Probabilities are floored at 1e-300 before any logarithm so saturated
 softmax outputs cannot produce infinities; the flooring happens after
@@ -29,46 +29,10 @@ from .rng import Rng, mix_seed
 PROB_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class ProbDist:
-    p: np.ndarray
-
-    @staticmethod
-    def from_raw(values) -> "ProbDist":
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("a distribution is a nonempty 1-D vector")
-        if np.any(values < 0) or not np.isfinite(values).all():
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = float(values.sum())
-        if total <= 0:
-            raise ValueError("probabilities must have positive mass")
-        return ProbDist(np.maximum(values / total, PROB_FLOOR))
-
-    @property
-    def arity(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def is_one_hot(self) -> bool:
-        return bool(self.p.max() >= 1.0 - 1e-9)
-
-
-def floor_probs(matrix: np.ndarray) -> np.ndarray:
+def _floor_probs(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize then floor a matrix of probability rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
     return np.maximum(matrix / matrix.sum(axis=-1, keepdims=True), PROB_FLOOR)
-
-
-def log_geometric_mean(dists: list[ProbDist]) -> ProbDist:
-    """Normalized geometric mean, computed stably in log space."""
-    if not dists:
-        raise ValueError("need at least one distribution")
-    arity = dists[0].arity
-    if any(d.arity != arity for d in dists):
-        raise ValueError("distributions must share one arity")
-    stacked = np.stack([d.p for d in dists])
-    return ProbDist(_log_geo_mean_rows(np.log(stacked)))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -77,55 +41,22 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def _log_geo_mean_rows(log_probs: np.ndarray) -> np.ndarray:
-    """Geometric-mean rows from (K, ..., c) log probabilities."""
-    return np.maximum(_softmax_rows(log_probs.mean(axis=0)), PROB_FLOOR)
-
-
-def kl(p: ProbDist, q: ProbDist) -> float:
-    """KL divergence sum_k p_k (log p_k - log q_k), with 0 log 0 = 0."""
-    if p.arity != q.arity:
-        raise ValueError("distributions must share one arity")
-    mask = p.p > 0.0
-    return float(np.sum(p.p[mask] * (np.log(p.p[mask]) - np.log(q.p[mask]))))
-
-
-def cross_entropy(p: ProbDist, q: ProbDist) -> float:
-    if p.arity != q.arity:
-        raise ValueError("distributions must share one arity")
-    return -float(np.sum(p.p * np.log(q.p)))
-
-
-def decompose_point(pi: ProbDist, predictions: list[ProbDist]):
-    """(risk, bias, variance) for one test point.
-
-    risk is the mean cross entropy, bias is KL(pi, pi_bar), variance is the
-    mean KL(pi_bar, pi_hat_j); the three satisfy risk = bias + variance up
-    to floating-point error because pi is one-hot.
-    """
-    if len(predictions) < 1:
-        raise ValueError("need at least one prediction")
-    if not pi.is_one_hot:
-        raise ValueError("the exact decomposition requires a one-hot label")
-    pi_bar = log_geometric_mean(predictions)
-    risk = float(np.mean([cross_entropy(pi, q) for q in predictions]))
-    bias = kl(pi, pi_bar)
-    variance = float(np.mean([kl(pi_bar, q) for q in predictions]))
-    return risk, bias, variance
-
-
 def decompose_batch(pi_rows: np.ndarray, prediction_stack: np.ndarray):
-    """Vectorized decomposition: (n, c) one-hot labels, (K, n, c) predictions.
+    """Per-point (risk, bias, variance) arrays from (n, c) one-hot labels
+    and a (K, n, c) stack of K predictive distributions for each point.
 
-    Returns per-point (risk, bias, variance) arrays.  Same arithmetic as
-    decompose_point, applied row-wise.
+    Each row is decomposed on its own: risk is the mean cross entropy
+    -mean_j log pi_hat_j[y], bias is KL(pi, pi_bar) for pi_bar the
+    normalized geometric mean of the K predictions, and variance is the
+    mean KL(pi_bar, pi_hat_j), so risk = bias + variance up to rounding.
+    Prediction rows are normalized and floored first.
     """
     pi_rows = np.asarray(pi_rows, dtype=np.float64)
-    preds = floor_probs(prediction_stack)
+    preds = _floor_probs(prediction_stack)
     if not np.all(pi_rows.max(axis=1) >= 1.0 - 1e-9):
         raise ValueError("the exact decomposition requires one-hot labels")
     log_preds = np.log(preds)
-    pi_bar = _log_geo_mean_rows(log_preds)
+    pi_bar = np.maximum(_softmax_rows(log_preds.mean(axis=0)), PROB_FLOOR)
     log_bar = np.log(pi_bar)
     risk = -np.einsum("nc,knc->n", pi_rows, log_preds) / preds.shape[0]
     hot = pi_rows > 0.0

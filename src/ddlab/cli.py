@@ -140,8 +140,6 @@ def _random_model_and_batch(rng: Rng):
 
 
 def _gradcheck_targets(rng: Rng, kind: str, batch: int, c: int):
-    if kind == "mse":
-        return rng.standard_normal((batch, c))
     if kind == "ce":
         raw = rng.random((batch, c)) + 1e-3
         return raw / raw.sum(axis=1, keepdims=True)
@@ -153,14 +151,13 @@ def run_gradcheck(draws: int, eps: float, seed: int):
     redrawing any draw within ``KINK_MARGIN`` of a ReLU kink."""
     rng = Rng(seed)
     worst = 0.0
-    kinds = list(LOSS_KINDS)
     done = 0
     while done < draws:
         model, X, c = _random_model_and_batch(rng)
         pre = X @ model.W1.T + model.b1
         if np.min(np.abs(pre)) < KINK_MARGIN:
             continue
-        kind = kinds[done % len(kinds)]
+        kind = LOSS_KINDS[done % len(LOSS_KINDS)]
         T = _gradcheck_targets(rng, kind, X.shape[0], c)
         worst = max(worst, grad_check(model, X, T, kind, eps))
         done += 1

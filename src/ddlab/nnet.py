@@ -1,8 +1,7 @@
 """One-hidden-layer ReLU network with hand-written gradients.
 
-Logits are ``W2 @ relu(W1 @ x + b1) + b2``.  Three losses are supported:
+Logits are ``W2 @ relu(W1 @ x + b1) + b2``.  Two losses are supported:
 
-* ``"mse"``  - 0.5 * ||logits - targets||^2 summed per row, batch mean;
 * ``"ce"``   - softmax cross entropy with soft targets, computed through
   the log-sum-exp shift;
 * ``"bce"``  - per-logit sigmoid binary cross entropy in the numerically
@@ -51,12 +50,11 @@ from .augment import ConcatView, sample_pairs
 from .datagen import MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset
 from .rng import Rng
 
-LOSS_MSE = "mse"
 LOSS_CE = "ce"
 LOSS_BCE = "bce"
-LOSS_KINDS = (LOSS_MSE, LOSS_CE, LOSS_BCE)
-# train's losses (classification data only) and the target mode each needs
+# each loss (classification data only) and the target mode train needs for it
 TRAIN_LOSS_MODES = {LOSS_CE: MODE_AVERAGED, LOSS_BCE: MODE_MULTI_HOT}
+LOSS_KINDS = tuple(TRAIN_LOSS_MODES)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -213,9 +211,7 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim == 1:
-        T = T.reshape(-1, 1)
+    T = np.atleast_2d(np.asarray(T, dtype=np.float64))
     if X.shape[-2] != T.shape[-2]:
         raise ValueError("feature and target batch sizes differ")
     if T.shape[-1] != model.n_out:
@@ -233,11 +229,7 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
     np.maximum(H, 0.0, out=H)
     Z2 = _affine(H, model.W2, model.b2)
 
-    if kind == LOSS_MSE:
-        diff = Z2 - T
-        loss = 0.5 * _total(diff * diff) / batch
-        dZ2 = diff / batch
-    elif kind == LOSS_CE:
+    if kind == LOSS_CE:
         # the one row sum both checks the targets and scales the softmax;
         # NaN fails the comparison, so it is rejected too
         row_mass = T.sum(axis=-1, keepdims=True)
@@ -283,16 +275,34 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
         raise ValueError(f"{key} must be {rule}, got {value!r}")
 
 
+def _number(value) -> bool:
+    """An int or a float; a bool is neither here, or True would pass for 1."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_at_least(value, low) -> bool:
+    return isinstance(value, int) and _number(value) and value >= low
+
+
+def _require_counts(section, lows) -> None:
+    """Each (key, low) field is an integer (parsing makes it one first, so
+    only a section built in code meets that rule) and at least ``low``."""
+    for key, low in lows:
+        value = getattr(section, key)
+        _require(isinstance(value, int) and _number(value), key,
+                 "an integer", value)
+        _require(value >= low, key, f">= {low}", value)
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     factor: float
     every_k_epochs: int
 
     def __post_init__(self):
-        _require(math.isfinite(self.factor) and self.factor > 0, "factor",
-                 "a finite number > 0", self.factor)
-        _require(self.every_k_epochs >= 1, "every_k_epochs", ">= 1",
-                 self.every_k_epochs)
+        _require(_number(self.factor) and 0 < self.factor < math.inf,
+                 "factor", "a finite number > 0", self.factor)
+        _require_counts(self, [("every_k_epochs", 1)])
 
 
 @dataclass(frozen=True)
@@ -309,15 +319,17 @@ class OptimizerConfig:
     def __post_init__(self):
         _require(self.kind in OPTIMIZER_KINDS, "kind",
                  f"one of {', '.join(OPTIMIZER_KINDS)}", self.kind)
-        _require(math.isfinite(self.lr) and self.lr > 0, "lr",
+        _require(_number(self.lr) and 0 < self.lr < math.inf, "lr",
                  "a finite number > 0", self.lr)
         for key in ("momentum", "beta1", "beta2"):
             value = getattr(self, key)
-            _require(0.0 <= value < 1.0, key, "in [0, 1)", value)
-        _require(math.isfinite(self.eps) and self.eps > 0, "eps",
+            _require(_number(value) and 0.0 <= value < 1.0, key, "in [0, 1)",
+                     value)
+        _require(_number(self.eps) and 0 < self.eps < math.inf, "eps",
                  "a finite number > 0", self.eps)
-        _require(math.isfinite(self.weight_decay) and self.weight_decay >= 0,
-                 "weight_decay", "a finite number >= 0", self.weight_decay)
+        _require(_number(self.weight_decay)
+                 and 0 <= self.weight_decay < math.inf, "weight_decay",
+                 "a finite number >= 0", self.weight_decay)
 
     def lr_at(self, epoch: int) -> float:
         """Step decay: lr * factor^floor((epoch - 1) / every_k), epoch >= 1."""
@@ -437,9 +449,8 @@ class TrainConfig:
     def __post_init__(self):
         _require(self.loss in TRAIN_LOSS_MODES, "loss", "ce or bce",
                  self.loss)
-        _require(self.epochs >= 0, "epochs", ">= 0", self.epochs)
-        _require(self.batch_size >= 1, "batch_size", ">= 1", self.batch_size)
-        _require(self.e_mult >= 1, "e_mult", ">= 1", self.e_mult)
+        _require_counts(self, [("epochs", 0), ("batch_size", 1),
+                               ("e_mult", 1)])
 
 
 @dataclass

@@ -48,8 +48,8 @@ from .datagen import (ClassificationDataset, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
 from .linreg import linreg_sample_sweep
-from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, _require, init_mlp,
-                   train)
+from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, _int_at_least,
+                   _require, init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
@@ -88,10 +88,6 @@ class ConfigError(ValueError):
 # parsed or not; which keys each kind reads, and the rules that hang on a
 # kind, are SweepConfig's.  A range rule is one ``_require``, whose message
 # starts with the field's key; parsing prefixes the section path.
-
-
-def _int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -337,27 +333,28 @@ def build_base_data(cfg: SweepConfig, seed: int):
         train_ds = load_idx(data.images, data.labels)
         test_ds = load_idx(data.test_images, data.test_labels,
                            class_count=train_ds.class_count)
-        for path, ds in ((data.images, train_ds), (data.test_images, test_ds)):
+        for key, ds in (("images", train_ds), ("test_images", test_ds)):
             if ds.features.size == 0:
-                raise ConfigError(f"{path}: holds no pixels "
-                                  f"(image count, rows or cols is 0)")
+                raise ConfigError(
+                    f"data.{key} must be images of at least one pixel (image "
+                    f"count, rows and cols >= 1), got {getattr(data, key)!r}")
         # a model fitted on the train files must read the test files
         if train_ds.dim != test_ds.dim:
-            raise ConfigError(f"{data.images} and {data.test_images} hold "
-                              f"{train_ds.dim} vs {test_ds.dim} pixels per image")
+            raise ConfigError(
+                f"data.test_images must hold the {train_ds.dim} pixels per "
+                f"image of {data.images}, got {test_ds.dim} in "
+                f"{data.test_images}")
         rng = Rng(mix_seed(seed, STREAM_DATA))
+        for key, path, ds in (("n", data.images, train_ds),
+                              ("test_n", data.test_images, test_ds)):
+            size = getattr(data, key)
+            if size is not None and size > ds.n:
+                raise ConfigError(f"data.{key} must be <= the {ds.n} images "
+                                  f"in {path}, got {size}")
         if data.n is not None:
-            if data.n > train_ds.n:
-                raise ConfigError(
-                    f"subset size {data.n} exceeds dataset size {train_ds.n}")
             train_ds = train_ds.take(rng.permutation(train_ds.n)[:data.n])
-        if data.test_n is not None:
-            if data.test_n > test_ds.n:
-                raise ConfigError(f"test subset size {data.test_n} exceeds "
-                                  f"test dataset size {test_ds.n}")
-            if data.test_n < test_ds.n:
-                test_ds = test_ds.take(
-                    rng.permutation(test_ds.n)[:data.test_n])
+        if data.test_n is not None and data.test_n < test_ds.n:
+            test_ds = test_ds.take(rng.permutation(test_ds.n)[:data.test_n])
     if data.standardize:
         train_x, test_x = _standardize(train_ds.features, test_ds.features)
         train_ds = ClassificationDataset(train_x, train_ds.targets, train_ds.mode)
@@ -467,8 +464,8 @@ def biasvar_cells(cfg: SweepConfig, base: dict):
     (variant,), (seed,) = cfg.variants, cfg.seeds
     need, rows = cfg.splits.k * cfg.splits.split_size, base[seed][0].n
     if need > rows:  # IDX data, whose row count is known once loaded
-        raise ConfigError(f"splits.k * splits.split_size = {need} exceeds "
-                          f"the {rows} train rows")
+        raise ConfigError(f"splits.k * splits.split_size must be <= the "
+                          f"{rows} train rows, got {need}")
     for width in cfg.widths:
         yield Cell(f"{variant}/w{width}/s{seed}", seed, [],
                    functools.partial(_biasvar_cell, cfg, base[seed], width,

@@ -29,12 +29,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ddlab import (ConcatView, ProbDist, Rng, TrainConfig,
-                   decompose_point, design_rank, estimate_bias_variance,
-                   gen_linreg, gen_mixture_classification, init_mlp,
-                   linreg_sample_sweep, load_idx, loss_and_grad, materialize,
-                   mix_seed, one_hot, parse_config, run_config, sample_theta,
-                   summarize, write_idx)
+from ddlab import (ConcatView, Rng, TrainConfig, design_rank,
+                   estimate_bias_variance, gen_linreg,
+                   gen_mixture_classification, init_mlp, linreg_sample_sweep,
+                   load_idx, loss_and_grad, materialize, mix_seed, one_hot,
+                   parse_config, run_config, sample_theta, summarize,
+                   write_idx)
+from ddlab.biasvar import decompose_batch
 from ddlab.cli import run_gradcheck, run_lift_check
 from ddlab.nnet import LOSS_CE, OptimizerConfig
 from ddlab.records import STATUS_MEDIAN
@@ -193,13 +194,15 @@ class TestCriterion6DecompositionIdentity:
         worst_resid = 0.0
         min_bias = math.inf
         min_var = math.inf
+        # each draw is one test point: a (1, c) label row and a (k, 1, c)
+        # stack, decomposed by the function the biasvar sweep runs
         for _ in range(10_000):
             c = 2 + rng.integers(9)
             k = 2 + rng.integers(7)
-            pi = ProbDist.from_raw(one_hot([rng.integers(c)], c)[0])
-            preds = [ProbDist.from_raw(np.exp(3.0 * rng.standard_normal(c)))
-                     for _ in range(k)]
-            risk, bias, variance = decompose_point(pi, preds)
+            pi = one_hot([rng.integers(c)], c)
+            preds = np.stack([np.exp(3.0 * rng.standard_normal(c))
+                              for _ in range(k)])[:, None]
+            (risk,), (bias,), (variance,) = decompose_batch(pi, preds)
             worst_resid = max(worst_resid, abs(risk - bias - variance))
             min_bias = min(min_bias, bias)
             min_var = min(min_var, variance)
@@ -207,10 +210,9 @@ class TestCriterion6DecompositionIdentity:
         worst_ident = 0.0
         for _ in range(1000):
             c = 2 + rng.integers(9)
-            q = ProbDist.from_raw(np.exp(3.0 * rng.standard_normal(c)))
-            _, _, variance = decompose_point(
-                ProbDist.from_raw(one_hot([0], c)[0]),
-                [q] * (2 + rng.integers(7)))
+            q = np.exp(3.0 * rng.standard_normal(c))
+            _, _, (variance,) = decompose_batch(
+                one_hot([0], c), np.stack([q] * (2 + rng.integers(7)))[:, None])
             worst_ident = max(worst_ident, abs(variance))
         ok = (worst_resid < 1e-10 and min_bias >= 0.0 and min_var >= 0.0
               and worst_ident < 1e-12)

@@ -225,7 +225,10 @@ class TestSweepCommands:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert "holds no pixels" in lines[0]
+        assert lines[0] == (
+            f"error: data.{empty} must be images of at least one pixel "
+            f"(image count, rows and cols >= 1), got "
+            f"{str(tmp_path / f'{empty}-idx3')!r}")
 
     @pytest.mark.parametrize("test_n", [5, 3])
     def test_idx_test_n_past_the_test_file_exit_code_2(self, tmp_path,
@@ -238,7 +241,15 @@ class TestSweepCommands:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert "test subset size 5 exceeds test dataset size 3" in lines[0]
+        assert lines[0] == (f"error: data.test_n must be <= the 3 images in "
+                            f"{tmp_path / 'test_images-idx3'}, got 5")
+
+    def test_idx_n_past_the_train_file_exit_code_2(self, tmp_path):
+        proc = self._idx_sweep(tmp_path, {"images": 4, "test_images": 3}, n=5)
+        assert one_error_line(proc) == (
+            f"error: data.n must be <= the 4 images in "
+            f"{tmp_path / 'images-idx3'}, got 5")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("standardize", [False, True])
     def test_idx_test_images_of_another_size_exit_code_2(self, tmp_path,
@@ -250,8 +261,9 @@ class TestSweepCommands:
         write_idx(data["test_images"], data["test_labels"],
                   np.zeros((10, 3, 3), dtype=np.uint8), np.arange(10) % 3)
         line = one_error_line(self._run_idx(tmp_path, raw))
-        assert line == (f"error: {data['images']} and {data['test_images']} "
-                        f"hold 4 vs 9 pixels per image")
+        assert line == (f"error: data.test_images must hold the 4 pixels per "
+                        f"image of {data['images']}, got 9 in "
+                        f"{data['test_images']}")
         assert not (tmp_path / "out").exists()  # found before it is made
 
     def test_idx_test_labels_of_another_class_count_exit_code_2(self,
@@ -284,8 +296,8 @@ class TestSweepCommands:
             assert proc.returncode == 0, proc.stderr
             return
         line = one_error_line(proc)
-        assert line == ("error: splits.k * splits.split_size = 50 exceeds "
-                        "the 30 train rows")
+        assert line == ("error: splits.k * splits.split_size must be <= the "
+                        "30 train rows, got 50")
         assert not (tmp_path / "out" / "idx_biasvar.csv").exists()
 
     def test_diverging_biasvar_exits_1_without_traceback(self, tmp_path):

@@ -12,7 +12,7 @@ from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
                    grad_check, init_mlp, lift_model, loss_and_grad, one_hot,
                    opt_step, pinv_solve, split_k, train)
 from ddlab.datagen import ClassificationDataset
-from ddlab.nnet import (LOSS_BCE, LOSS_CE, LOSS_MSE, MlpGrads, MlpModel,
+from ddlab.nnet import (LOSS_BCE, LOSS_CE, MlpGrads, MlpModel,
                         _DatasetStack, _epoch_batches, _epoch_buffers,
                         _stack_sources, make_optim_state)
 
@@ -25,8 +25,6 @@ def random_model(rng, d_in=4, h=5, c=3, bias_scale=0.3):
 
 
 def random_targets(rng, rows, c, kind):
-    if kind == LOSS_MSE:
-        return rng.standard_normal((rows, c))
     if kind == LOSS_CE:
         raw = rng.random((rows, c)) + 1e-3
         return raw / raw.sum(axis=1, keepdims=True)
@@ -47,11 +45,7 @@ def reference_loss_and_grad(params, X, T, kind):
     Z1 = X @ W1.T + b1
     H = np.maximum(Z1, 0.0)
     Z2 = H @ W2.T + b2
-    if kind == LOSS_MSE:
-        diff = Z2 - T
-        loss = 0.5 * float(np.sum(diff * diff)) / batch
-        dZ2 = diff / batch
-    elif kind == LOSS_CE:
+    if kind == LOSS_CE:
         shifted = Z2 - Z2.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         loss = -float(np.sum(T * logp)) / batch
@@ -98,7 +92,7 @@ def reference_opt_step(params, gs, slot_a, slot_b, cfg, lr, t):
 @given(opt=st.sampled_from(["sgd", "momentum", "adam"]),
        weight_decay=st.sampled_from([0.0, 0.1]),
        lr=st.sampled_from([0.001, 0.3]),
-       loss_kind=st.sampled_from([LOSS_MSE, LOSS_CE, LOSS_BCE]),
+       loss_kind=st.sampled_from([LOSS_CE, LOSS_BCE]),
        d=st.integers(1, 5), h=st.integers(1, 6), c=st.integers(1, 4),
        batch=st.integers(1, 9), steps=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
@@ -140,7 +134,7 @@ def test_flat_training_step_matches_per_array_reference(
 @given(stack=st.integers(1, 4),
        opt=st.sampled_from(["sgd", "momentum", "adam"]),
        weight_decay=st.sampled_from([0.0, 0.1]),
-       loss_kind=st.sampled_from([LOSS_MSE, LOSS_CE, LOSS_BCE]),
+       loss_kind=st.sampled_from([LOSS_CE, LOSS_BCE]),
        d=st.integers(1, 6), h=st.integers(1, 6), c=st.integers(1, 6),
        batch=st.integers(1, 9), steps=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
@@ -433,16 +427,24 @@ class TestLosses:
         assert losses[-1] < 1e-12
         assert all(v >= 0.0 for v in losses)
 
-    def test_mse_quadratic_value(self):
-        model = MlpModel(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)),
-                         np.array([2.0]))
-        loss, _ = loss_and_grad(model, np.zeros((2, 1)),
-                                np.array([[0.0], [4.0]]), LOSS_MSE)
-        assert loss == pytest.approx(0.5 * (4.0 + 4.0) / 2)
+    @pytest.mark.parametrize("kind", ["mse", "hinge"])
+    def test_unknown_loss_rejected(self, kind):
+        model = init_mlp(2, 3, 1, Rng(0))
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            loss_and_grad(model, np.zeros((2, 2)), np.zeros((2, 1)), kind)
+
+    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
+    def test_one_dimensional_inputs_are_one_row(self, kind):
+        rng = Rng(4)
+        model = random_model(rng)
+        x, t = rng.standard_normal(4), random_targets(rng, 1, 3, kind)[0]
+        loss, grads = loss_and_grad(model, x, t, kind)
+        want_loss, want = loss_and_grad(model, x[None], t[None], kind)
+        assert loss == want_loss and np.array_equal(grads.theta, want.theta)
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", [LOSS_MSE, LOSS_CE, LOSS_BCE])
+    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
     def test_finite_difference_agreement(self, kind):
         rng = Rng(hash(kind) % 1000)
         checked = 0
@@ -455,26 +457,6 @@ class TestGradients:
             assert grad_check(model, X, T, kind) < 1e-4
             checked += 1
 
-    def test_linear_region_mse_nearly_exact(self):
-        # all hidden units active: the loss is quadratic in each parameter,
-        # so central differences have no truncation error at any step and a
-        # larger step keeps rounding noise below the bound
-        rng = Rng(77)
-        model = random_model(rng)
-        model.b1[:] = 10.0  # push every pre-activation positive
-        X = 0.1 * rng.standard_normal((4, 4))
-        T = rng.standard_normal((4, 3))
-        assert grad_check(model, X, T, LOSS_MSE, eps=1e-4) < 1e-7
-
-    def test_eps_halving_second_order(self):
-        rng = Rng(78)
-        model = random_model(rng)
-        model.b1[:] = 5.0
-        X = 0.1 * rng.standard_normal((4, 4))
-        T = rng.standard_normal((4, 3))
-        d1 = grad_check(model, X, T, LOSS_MSE, eps=1e-5)
-        d2 = grad_check(model, X, T, LOSS_MSE, eps=5e-6)
-        assert d2 <= 4 * d1 + 1e-12
 
 
 class TestBackwardMemory:
@@ -508,7 +490,7 @@ class TestBackwardMemory:
             tracemalloc.stop()
         assert peak < 1.6 * hidden_bytes, peak / 2**20
 
-    @pytest.mark.parametrize("kind", [LOSS_MSE, LOSS_CE, LOSS_BCE])
+    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
     @pytest.mark.parametrize("stack", [1, 2])
     def test_inputs_untouched_and_grads_unaliased(self, kind, stack):
         model, X, T = self._problem(kind, stack)
@@ -519,7 +501,7 @@ class TestBackwardMemory:
             assert np.array_equal(got, want)
             assert not np.shares_memory(grads.theta, got)
 
-    @pytest.mark.parametrize("kind", [LOSS_MSE, LOSS_CE, LOSS_BCE])
+    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
     @pytest.mark.parametrize("stack", [1, 2])
     def test_out_leaves_inputs_untouched_and_unaliased(self, kind, stack):
         model, X, T = self._problem(kind, stack)
@@ -534,7 +516,7 @@ class TestBackwardMemory:
 
 
 class TestGradientBuffer:
-    @pytest.mark.parametrize("kind", [LOSS_MSE, LOSS_CE, LOSS_BCE])
+    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
     @pytest.mark.parametrize("stack", [1, 3])
     def test_out_equals_a_fresh_gradient(self, kind, stack):
         rng = Rng(17)
@@ -558,21 +540,21 @@ class TestGradientBuffer:
     def test_wrong_layout_rejected(self):
         rng = Rng(18)
         model = random_model(rng, 4, 5, 3)  # 43 parameters
-        X, T = rng.standard_normal((6, 4)), random_targets(rng, 6, 3, LOSS_MSE)
+        X, T = rng.standard_normal((6, 4)), random_targets(rng, 6, 3, LOSS_CE)
         stack = MlpModel.stack([model, model])
         for out in (MlpGrads(*random_model(rng, 4, 6, 3).arrays()),
                     MlpGrads._from_theta(np.empty_like(stack.theta),
                                          stack.shapes)):
             with pytest.raises(ValueError, match="gradient buffer shape"):
-                loss_and_grad(model, X, T, LOSS_MSE, out=out)
+                loss_and_grad(model, X, T, LOSS_CE, out=out)
         with pytest.raises(ValueError, match="gradient buffer shape"):
-            loss_and_grad(stack, X, T, LOSS_MSE,
+            loss_and_grad(stack, X, T, LOSS_CE,
                           out=MlpGrads(*model.arrays()))
         # also 43 parameters, in other blocks: numpy's out= shape checks
         same_size = MlpGrads(np.zeros((1, 40)), np.zeros(1), np.zeros((1, 1)),
                              np.zeros(1))
         with pytest.raises(ValueError):
-            loss_and_grad(model, X, T, LOSS_MSE, out=same_size)
+            loss_and_grad(model, X, T, LOSS_CE, out=same_size)
 
 
 class TestConfigRanges:
@@ -582,7 +564,10 @@ class TestConfigRanges:
         ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
         ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan),
         ("weight_decay", -5.0), ("weight_decay", math.inf),
-        ("weight_decay", math.nan)])
+        ("weight_decay", math.nan),
+        # True would pass for 1 and False for 0; parsing refuses both
+        ("lr", True), ("beta1", False), ("weight_decay", False),
+        ("eps", "1e-8")])
     def test_optimizer_rejects(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             OptimizerConfig(**{key: value})
@@ -596,7 +581,8 @@ class TestConfigRanges:
     @pytest.mark.parametrize("factor,every,key", [
         (0.0, 1, "factor"), (-1.0, 1, "factor"), (math.inf, 1, "factor"),
         (math.nan, 1, "factor"), (0.1, 0, "every_k_epochs"),
-        (0.1, -2, "every_k_epochs")])
+        (0.1, -2, "every_k_epochs"), (0.5, True, "every_k_epochs"),
+        (0.5, 2.0, "every_k_epochs"), (True, 1, "factor")])
     def test_schedule_rejects(self, factor, every, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ScheduleConfig(factor, every)
@@ -606,11 +592,17 @@ class TestConfigRanges:
 
     @pytest.mark.parametrize("key,value", [
         ("loss", "hinge"), ("epochs", -1), ("batch_size", 0),
-        ("e_mult", 0)])
+        ("e_mult", 0), ("batch_size", True), ("epochs", 2.5),
+        ("e_mult", 1.0)])
     def test_train_config_rejects(self, key, value):
         fields = dict(loss=LOSS_CE, epochs=1, batch_size=1)
         with pytest.raises(ValueError, match=f"^{key} must be"):
             TrainConfig(**dict(fields, **{key: value}))
+
+    def test_train_config_names_the_first_non_integer(self):
+        with pytest.raises(ValueError,
+                           match=r"^epochs must be an integer, got 2\.5$"):
+            TrainConfig(batch_size=True, epochs=2.5)
 
     def test_train_config_accepts_range_ends(self):
         cfg = TrainConfig(LOSS_CE, epochs=0, batch_size=1, e_mult=1)
@@ -772,7 +764,7 @@ class TestTrain:
                   cfg, [0, 1])
         with pytest.raises(ValueError,
                            match=r"^loss must be ce or bce, got 'mse'$"):
-            TrainConfig(LOSS_MSE, 1, 16)
+            TrainConfig("mse", 1, 16)
 
 
 class TestStackedTrain:

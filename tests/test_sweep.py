@@ -202,6 +202,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=path.rsplit(".", 1)[-1]):
             parse_config(raw)
 
+    @pytest.mark.parametrize("path,value,message", [
+        ("train.batch_size", True, "train.batch_size: expected an integer"),
+        ("train.epochs", 2.5, "train.epochs: expected an integer"),
+        ("train.epochs", -1, "train.epochs must be >= 0, got -1"),
+        ("train.optimizer.lr", True, "train.optimizer.lr: expected a number"),
+        ("train.optimizer.schedule", {"factor": 0.5, "every_k_epochs": True},
+         "train.optimizer.schedule.every_k_epochs: expected an integer")])
+    def test_train_section_messages(self, path, value, message):
+        # parsing coerces types before a section's own checks run
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
+        node, *keys = raw, *path.split(".")
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("path,value,key", [
         ("train.optimizer.kind", "rmsprop", None),
         ("train.optimizer.beta2", 1.0, None),
