@@ -44,9 +44,6 @@ SWEEP_COMMANDS = {
 }
 
 GRADCHECK_LIMIT = 1e-4
-# gradcheck redraws a model whose hidden pre-activations come this close
-# to a ReLU kink: no finite-difference step is meaningful across one
-KINK_MARGIN = 1e-6
 LIFT_LIMIT = 1e-9
 
 
@@ -146,16 +143,22 @@ def _gradcheck_targets(rng: Rng, kind: str, batch: int, c: int):
     return (rng.random((batch, c)) < 0.5).astype(float)
 
 
+def _near_kink(model, X, eps: float) -> bool:
+    """True if a hidden pre-activation lies within 2*eps*max(1, max|x|) of
+    the ReLU kink, which a +-eps step on a W1 or b1 entry may cross."""
+    pre = X @ model.W1.T + model.b1
+    return np.min(np.abs(pre)) < 2 * eps * max(1.0, np.max(np.abs(X)))
+
+
 def run_gradcheck(draws: int, eps: float, seed: int):
     """Max relative analytic-vs-central-difference deviation over draws,
-    redrawing any draw within ``KINK_MARGIN`` of a ReLU kink."""
+    redrawing any draw ``_near_kink``."""
     rng = Rng(seed)
     worst = 0.0
     done = 0
     while done < draws:
         model, X, c = _random_model_and_batch(rng)
-        pre = X @ model.W1.T + model.b1
-        if np.min(np.abs(pre)) < KINK_MARGIN:
+        if _near_kink(model, X, eps):
             continue
         kind = LOSS_KINDS[done % len(LOSS_KINDS)]
         T = _gradcheck_targets(rng, kind, X.shape[0], c)

@@ -270,7 +270,8 @@ OPTIMIZER_KINDS = ("sgd", "momentum", "adam")
 
 
 def _require(ok: bool, key: str, rule: str, value) -> None:
-    """Range check of one config field; the message starts with its name."""
+    """Type-then-range check of one config field (a wrong type must not
+    reach a comparison); the message starts with the field's name."""
     if not ok:
         raise ValueError(f"{key} must be {rule}, got {value!r}")
 
@@ -285,13 +286,14 @@ def _int_at_least(value, low) -> bool:
 
 
 def _require_counts(section, lows) -> None:
-    """Each (key, low) field is an integer (parsing makes it one first, so
-    only a section built in code meets that rule) and at least ``low``."""
+    """Each (key, low) field is an integer >= ``low``, or None if the field
+    is annotated ``| None``."""
     for key, low in lows:
         value = getattr(section, key)
-        _require(isinstance(value, int) and _number(value), key,
-                 "an integer", value)
-        _require(value >= low, key, f">= {low}", value)
+        unset = value is None and "| None" in str(
+            section.__dataclass_fields__[key].type)
+        _require(unset or _int_at_least(value, low), key,
+                 f"an integer >= {low}", value)
 
 
 @dataclass(frozen=True)
@@ -447,8 +449,8 @@ class TrainConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        _require(self.loss in TRAIN_LOSS_MODES, "loss", "ce or bce",
-                 self.loss)
+        _require(isinstance(self.loss, str) and self.loss in TRAIN_LOSS_MODES,
+                 "loss", "ce or bce", self.loss)
         _require_counts(self, [("epochs", 0), ("batch_size", 1),
                                ("e_mult", 1)])
 

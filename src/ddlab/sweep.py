@@ -49,7 +49,7 @@ from .datagen import (ClassificationDataset, apply_label_noise,
 from .idx import load_idx
 from .linreg import linreg_sample_sweep
 from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, _int_at_least,
-                   _require, init_mlp, train)
+                   _number, _require, _require_counts, init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
@@ -84,10 +84,11 @@ class ConfigError(ValueError):
 
 # -- config schema -------------------------------------------------------------
 #
-# A section checks the values it holds (None is unset) when it is built,
-# parsed or not; which keys each kind reads, and the rules that hang on a
-# kind, are SweepConfig's.  A range rule is one ``_require``, whose message
-# starts with the field's key; parsing prefixes the section path.
+# A section checks the type and range of each value it holds (None is
+# unset) when it is built, parsed or not; which keys each kind reads, and
+# the rules that hang on a kind, are SweepConfig's.  Each rule's message
+# starts with the field's key; parsing keeps only structure (lists,
+# sections) and prefixes the section path.
 
 
 @dataclass(frozen=True)
@@ -106,16 +107,22 @@ class DataSection:
     standardize: bool = False
 
     def __post_init__(self):
-        _require(self.kind in DATA_KIND_KEYS, "kind",
-                 " or ".join(DATA_KIND_KEYS), self.kind)
-        for key, low in (("n", 1), ("d", 1), ("test_n", 1), ("classes", 2)):
-            value = getattr(self, key)
-            _require(value is None or _int_at_least(value, low), key,
-                     f"an integer >= {low}", value)
-        _require(self.separation is None or 0 < self.separation < math.inf,
-                 "separation", "a finite number > 0", self.separation)
-        _require(0.0 <= self.noise_fraction <= 1.0, "noise_fraction",
+        _require(isinstance(self.kind, str) and self.kind in DATA_KIND_KEYS,
+                 "kind", " or ".join(DATA_KIND_KEYS), self.kind)
+        _require_counts(self, [("n", 1), ("d", 1), ("test_n", 1),
+                               ("classes", 2)])
+        _require(self.separation is None or (_number(self.separation)
+                 and 0 < self.separation < math.inf), "separation",
+                 "a finite number > 0", self.separation)
+        _require(_number(self.noise_fraction)
+                 and 0.0 <= self.noise_fraction <= 1.0, "noise_fraction",
                  "in [0, 1]", self.noise_fraction)
+        for key in ("images", "labels", "test_images", "test_labels"):
+            path = getattr(self, key)
+            _require(path is None or isinstance(path, str), key, "a string",
+                     path)
+        _require(isinstance(self.standardize, bool), "standardize",
+                 "a boolean", self.standardize)
 
 
 @dataclass(frozen=True)
@@ -124,9 +131,7 @@ class SplitsSection:
     split_size: int = 500
 
     def __post_init__(self):
-        for key in ("k", "split_size"):
-            _require(_int_at_least(getattr(self, key), 1), key,
-                     "an integer >= 1", getattr(self, key))
+        _require_counts(self, [("k", 1), ("split_size", 1)])
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,9 @@ class SweepConfig:
         _require(self.experiment in EXPERIMENT_KINDS, "experiment",
                  f"one of {', '.join(EXPERIMENT_KINDS)}", self.experiment)
         # the id is a file name stem and every CSV row's first cell
-        _require(re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*",
-                              self.experiment_id), "experiment_id",
+        _require(isinstance(self.experiment_id, str)
+                 and re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*",
+                                  self.experiment_id), "experiment_id",
                  "letters, digits, '.', '_' or '-', led by a letter or digit",
                  self.experiment_id)
         # Rng reduces seeds mod 2^64: two outside [0, 2^64) could alias
@@ -163,15 +169,13 @@ class SweepConfig:
         _require(self.variants and all(v in VARIANTS for v in self.variants),
                  "variants", f"a nonempty list from {', '.join(VARIANTS)}",
                  self.variants)
-        _require(_int_at_least(self.threads, 1), "threads", "an integer >= 1",
-                 self.threads)
-        _check_kind_keys(self.experiment, self, KIND_KEYS, self.experiment)
-        for key in ("d", "n_test"):
-            value = getattr(self, key)
-            _require(value is None or _int_at_least(value, 1), key,
-                     "an integer >= 1", value)
-        _require(self.sigma is None or 0 <= self.sigma < math.inf, "sigma",
+        _require_counts(self, [("threads", 1), ("d", 1), ("n_test", 1)])
+        _require(self.out_dir is None or isinstance(self.out_dir, str),
+                 "out_dir", "a string", self.out_dir)
+        _require(self.sigma is None or (_number(self.sigma)
+                 and 0 <= self.sigma < math.inf), "sigma",
                  "a finite number >= 0", self.sigma)
+        _check_kind_keys(self.experiment, self, KIND_KEYS, self.experiment)
         for key in ("n_grid", "widths"):
             values = getattr(self, key)
             _require(values is None or all(_int_at_least(v, 1) for v in values),
@@ -233,13 +237,11 @@ def _check_kind_keys(owner: str, section, table: dict, kind: str) -> None:
 
 
 def _coerce(value, annotation, path):
-    origin = typing.get_origin(annotation)
-    if origin in (typing.Union, types.UnionType):
-        args = [a for a in typing.get_args(annotation) if a is not type(None)]
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
         if value is None:
             return None
-        return _coerce(value, args[0], path)
-    if annotation in (list, typing.List) or origin is list:
+        annotation = typing.get_args(annotation)[0]  # the X of X | None
+    if annotation is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list")
         return list(value)
@@ -247,23 +249,8 @@ def _coerce(value, annotation, path):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
         return _parse_dataclass(annotation, value, path)
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        return float(value)
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer")
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean")
-        return value
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string")
-        return value
-    return value
+    # a scalar is its section's to check; a float field's int turns float
+    return float(value) if annotation is float and _number(value) else value
 
 
 def _parse_dataclass(cls, data: dict, prefix: str = ""):
@@ -285,7 +272,7 @@ def _parse_dataclass(cls, data: dict, prefix: str = ""):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        # a section's own check; a range rule's message starts with its key
+        # a section's own check, whose message starts with its key
         raise ConfigError(f"{prefix}.{exc}" if prefix else str(exc)) from None
 
 

@@ -492,6 +492,13 @@ class TestChecks:
         self_dev, pair_dev = run_lift_check(draws=100, seed=0)
         assert max(self_dev, pair_dev) < 1e-9
 
+    @pytest.mark.parametrize("seed", [10, 22])
+    def test_gradcheck_redraws_near_kinks(self, seed):
+        # these seeds draw pre-activations within eps * |x| of a kink,
+        # where a central difference straddles it
+        proc = run_cli(["gradcheck", "--seed", str(seed)])
+        assert proc.returncode == 0, proc.stdout
+
     def test_gradcheck_cli(self):
         proc = run_cli(["gradcheck", "--draws", "10"])
         assert proc.returncode == 0

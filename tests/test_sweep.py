@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import (ConfigError, CurvePoint, TrainConfig, load_idx,
-                   parse_config, run_config, summarize, sweep, write_idx)
+from ddlab import (ConfigError, CurvePoint, OptimizerConfig, ScheduleConfig,
+                   SweepConfig, TrainConfig, load_idx, parse_config,
+                   run_config, summarize, sweep, write_idx)
 from ddlab.biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from ddlab.records import CSV_HEADER
-from ddlab.sweep import (build_base_data, config_to_dict, dataset_hash,
-                         run_sweep)
+from ddlab.sweep import (DataSection, SplitsSection, build_base_data,
+                         config_to_dict, dataset_hash, run_sweep)
 
 
 LINREG_BOTH_VARIANTS = {
@@ -113,6 +115,13 @@ def kind_config(kind):
     return json.loads(json.dumps(raw))
 
 
+def preset(name):
+    """A fresh copy of the bundled preset ``name``, as raw JSON."""
+    from importlib import resources
+    return json.loads(resources.files("ddlab").joinpath(
+        "presets", f"{name}.json").read_text())
+
+
 class TestConfigParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key 'sgima'"):
@@ -156,8 +165,8 @@ class TestConfigParsing:
         ("n_test", 40.0), ("sigma", -0.1), ("sigma", float("nan")),
         ("sigma", float("inf"))])
     def test_linreg_section_rejects_bad_values(self, key, value):
-        # SweepConfig also guards configs built without parse_config,
-        # where no type coercion has run
+        # SweepConfig checks a config built or replaced in code, type
+        # included, as it checks a parsed one
         cfg = parse_config(LINREG_BOTH_VARIANTS)
         with pytest.raises(ValueError, match=f"^{key} must be a"):
             dataclasses.replace(cfg, **{key: value})
@@ -166,11 +175,8 @@ class TestConfigParsing:
         ("threads", 0), ("seeds", [0, 0]), ("variants", ["x"])])
     def test_replaced_config_is_checked(self, key, value):
         # a config changed in code gets the rules a parsed one does
-        from importlib import resources
-        raw = json.loads(resources.files("ddlab").joinpath(
-            "presets", "fig1.json").read_text())
         with pytest.raises(ValueError, match=f"^{key} must be "):
-            dataclasses.replace(parse_config(raw), **{key: value})
+            dataclasses.replace(parse_config(preset("fig1")), **{key: value})
 
     @pytest.mark.parametrize("key,value", [
         ("seeds", [0, 1]), ("variants", ["concat"]),
@@ -203,14 +209,17 @@ class TestConfigParsing:
             parse_config(raw)
 
     @pytest.mark.parametrize("path,value,message", [
-        ("train.batch_size", True, "train.batch_size: expected an integer"),
-        ("train.epochs", 2.5, "train.epochs: expected an integer"),
-        ("train.epochs", -1, "train.epochs must be >= 0, got -1"),
-        ("train.optimizer.lr", True, "train.optimizer.lr: expected a number"),
+        ("train.batch_size", True,
+         "train.batch_size must be an integer >= 1, got True"),
+        ("train.epochs", 2.5, "train.epochs must be an integer >= 0, got 2.5"),
+        ("train.epochs", -1, "train.epochs must be an integer >= 0, got -1"),
+        ("train.optimizer.lr", True,
+         "train.optimizer.lr must be a finite number > 0, got True"),
         ("train.optimizer.schedule", {"factor": 0.5, "every_k_epochs": True},
-         "train.optimizer.schedule.every_k_epochs: expected an integer")])
+         "train.optimizer.schedule.every_k_epochs must be an integer >= 1, "
+         "got True")])
     def test_train_section_messages(self, path, value, message):
-        # parsing coerces types before a section's own checks run
+        # one rule per field checks its type and range together
         raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
         node, *keys = raw, *path.split(".")
         for key in keys[:-1]:
@@ -395,6 +404,80 @@ class TestConfigParsing:
                        "labels": "x", "test_images": "y", "test_labels": "z"}
         with pytest.raises(ConfigError, match="does not exist|no/such/file"):
             parse_config(raw)
+
+
+# -- one type rule per scalar config field --------------------------------------
+#
+# Parsing checks only structure (lists, nested sections); every scalar field
+# is its section's to check, type first.  The fields are read off the
+# dataclasses, so a field added without a type rule fails here.
+
+SECTION_PATHS = {SweepConfig: "", DataSection: "data", SplitsSection: "splits",
+                 TrainConfig: "train", OptimizerConfig: "train.optimizer",
+                 ScheduleConfig: "train.optimizer.schedule"}
+# each scalar annotation -> the probe types it accepts
+SCALAR_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+TYPE_PROBES = (True, "x", 1, 1.5, None, [1], {})
+
+
+def wrong_typed_fields(cls):
+    """(field name, wrong-typed probe values) for each scalar field."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        base, *rest = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if base is list or dataclasses.is_dataclass(base):
+            continue
+        accepted = SCALAR_TYPES[base] + tuple(rest)  # NoneType if optional
+        yield f.name, [v for v in TYPE_PROBES if type(v) not in accepted]
+
+
+class TestScalarTypeRules:
+    @pytest.mark.parametrize("name", ["fig1", "desk_mixture",
+                                      "biasvar_mixture"])
+    def test_parsed_wrong_type_names_its_dotted_key(self, name):
+        base = preset(name)
+        if "train" in base:
+            base["train"]["optimizer"]["schedule"] = {"factor": 0.5,
+                                                      "every_k_epochs": 1}
+        wrong = []
+        for cls, path in SECTION_PATHS.items():
+            keys = path.split(".") if path else []
+            if keys and keys[0] not in base:
+                continue
+            for key, values in wrong_typed_fields(cls):
+                dotted = ".".join(keys + [key])
+                for value in values:
+                    raw = json.loads(json.dumps(base))
+                    node = raw
+                    for part in keys:
+                        node = node[part]
+                    node[key] = value
+                    try:
+                        parse_config(raw)
+                        wrong.append((dotted, value, "accepted"))
+                    except ConfigError as exc:
+                        if not str(exc).startswith(f"{dotted} must be "):
+                            wrong.append((dotted, value, str(exc)))
+        assert wrong == []
+
+    @pytest.mark.parametrize("cls", list(SECTION_PATHS),
+                             ids=lambda cls: cls.__name__)
+    def test_replaced_wrong_type_names_its_field(self, cls):
+        cfg = parse_config(preset("biasvar_mixture"))
+        valid = {SweepConfig: parse_config(preset("fig1")),
+                 DataSection: cfg.data, SplitsSection: cfg.splits,
+                 TrainConfig: cfg.train, OptimizerConfig: cfg.train.optimizer,
+                 ScheduleConfig: ScheduleConfig(0.5, 1)}[cls]
+        wrong = []
+        for key, values in wrong_typed_fields(cls):
+            for value in values:
+                try:
+                    dataclasses.replace(valid, **{key: value})
+                    wrong.append((key, value, "accepted"))
+                except ValueError as exc:
+                    if not str(exc).startswith(f"{key} must be "):
+                        wrong.append((key, value, str(exc)))
+        assert wrong == []
 
 
 # -- config round trip ----------------------------------------------------------
@@ -831,11 +914,8 @@ class TestStandardize:
 
 class TestPresets:
     def test_bundled_presets_parse(self):
-        from importlib import resources
         for name in ("fig1", "desk_mixture", "biasvar_mixture"):
-            raw = json.loads(resources.files("ddlab").joinpath(
-                "presets", f"{name}.json").read_text())
-            cfg = parse_config(raw)
+            cfg = parse_config(preset(name))
             assert cfg.experiment_id == name
 
     # SHA-256 of each bundled preset's resolved-config echo, the JSON that
@@ -854,9 +934,7 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(PRESET_ECHO_SHA256))
     def test_preset_echo_bytes_pinned(self, tmp_path, monkeypatch, name):
-        from importlib import resources
-        raw = json.loads(resources.files("ddlab").joinpath(
-            "presets", f"{name}.json").read_text())
+        raw = preset(name)
         if raw.get("data", {}).get("kind") == "idx":
             # its relative idx paths must exist for validation to pass
             monkeypatch.chdir(tmp_path)
@@ -869,18 +947,14 @@ class TestPresets:
         assert digest == self.PRESET_ECHO_SHA256[name]
 
     def test_fig1_preset_values(self):
-        from importlib import resources
-        raw = json.loads(resources.files("ddlab").joinpath(
-            "presets", "fig1.json").read_text())
+        raw = preset("fig1")
         assert raw["d"] == 30 and raw["sigma"] == 0.1
         assert raw["n_grid"] == list(range(2, 101, 2))
         assert len(raw["seeds"]) == 20 and raw["n_test"] == 10000
 
     def test_fig2_preset_values(self):
         # n=4000 subset, batch 100, 1000 epochs, Adam lr 0.001
-        from importlib import resources
-        raw = json.loads(resources.files("ddlab").joinpath(
-            "presets", "fig2_mnist.json").read_text())
+        raw = preset("fig2_mnist")
         assert raw["data"]["n"] == 4000
         train = raw["train"]
         assert train["batch_size"] == 100 and train["epochs"] == 1000
@@ -889,9 +963,7 @@ class TestPresets:
         assert opt["beta1"] == 0.9 and opt["beta2"] == 0.999
 
     def test_desk_mixture_preset_values(self):
-        from importlib import resources
-        raw = json.loads(resources.files("ddlab").joinpath(
-            "presets", "desk_mixture.json").read_text())
+        raw = preset("desk_mixture")
         assert raw["data"]["noise_fraction"] == 0.15
         assert raw["data"]["n"] == 1000 and raw["data"]["classes"] == 10
         assert len(raw["seeds"]) == 3
