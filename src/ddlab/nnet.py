@@ -8,14 +8,14 @@ Logits are ``W2 @ relu(W1 @ x + b1) + b2``.  Two losses are supported:
   stable max(z,0) - z*t + log1p(exp(-|z|)) form.
 
 Gradients are exact derivatives of the batch-mean loss; relu'(0) is taken
-as 0.  The training loop is deterministic for a fixed seed: epoch order
-comes from the dataset permutation (or pair sampling for concatenated
-sources) on the trainer's own stream.  Each epoch of a concrete dataset is
-gathered in permuted order once, into feature and target buffers that
-``train`` allocates once per call, and every step trains on a contiguous
-slice of them.  ``train`` also allocates one gradient vector per call and
-passes it to ``loss_and_grad(..., out=)`` on every step, so a step
-allocates no new parameter-sized array.
+as 0.  There is one training loop, over a stack: a single model trains
+as a stack of one.  It is deterministic for fixed seeds: each slice's
+epoch order comes from its dataset's permutation, or its pair sampling
+for a ``ConcatView``, on the slice's own stream.  Each epoch is gathered
+once into buffers that ``train`` allocates once per call, and every step
+trains on a contiguous slice of them.  ``train`` also allocates one
+gradient vector per call and passes it to ``loss_and_grad(..., out=)`` on
+every step, so a step allocates no new parameter-sized array.
 
 Parameters live in one contiguous float64 vector ``theta`` laid out as
 W1 (h x d_in, row-major), b1 (h), W2 (c x h, row-major), b2 (c).
@@ -34,14 +34,18 @@ stack, losses and errors are (S,) arrays.  Each slice is computed by the
 same numpy and BLAS calls, on operands of the same shape and layout, as
 one model on its own, so a stack reproduces S separate models bit for bit
 wherever ``matmul`` and the reductions give per-slice identical results,
-which the tests check.  ``train`` runs a stack in one loop when given
-sequences of models, datasets and seeds.
+which the tests check.  Given sequences of models, sources and seeds,
+``train`` returns the fitted stack's slices; the sources are all datasets
+or all ``ConcatView``s, of one shape.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,9 +248,7 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
         sig = 1.0 / (1.0 + np.exp(-Z2))
         dZ2 = (sig - T) / batch
 
-    # math.isfinite on one model's float costs a fraction of np.isfinite
-    if not (math.isfinite(loss) if isinstance(loss, float)
-            else np.isfinite(loss).all()):
+    if not np.isfinite(loss).all():
         raise FloatingPointError(f"non-finite {kind} loss")
 
     grads = out if out is not None else MlpGrads._from_theta(
@@ -281,8 +283,24 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """A number in float range; an int past it passes ``< math.inf``."""
+    return _number(value) and abs(value) <= sys.float_info.max
+
+
 def _int_at_least(value, low) -> bool:
     return isinstance(value, int) and _number(value) and value >= low
+
+
+def _require_structure(section) -> None:
+    """Each list or section field holds a list or that section (or None if
+    annotated ``| None``); the first rule, as later rules read them."""
+    for key, hint in typing.get_type_hints(type(section)).items():
+        kind, *unset = typing.get_args(hint) or (hint,)
+        value = getattr(section, key)
+        if kind is list or dataclasses.is_dataclass(kind):
+            _require(isinstance(value, kind) or (unset and value is None),
+                     key, f"of type {kind.__name__}", value)
 
 
 def _require_counts(section, lows) -> None:
@@ -302,7 +320,7 @@ class ScheduleConfig:
     every_k_epochs: int
 
     def __post_init__(self):
-        _require(_number(self.factor) and 0 < self.factor < math.inf,
+        _require(_finite(self.factor) and self.factor > 0,
                  "factor", "a finite number > 0", self.factor)
         _require_counts(self, [("every_k_epochs", 1)])
 
@@ -319,19 +337,19 @@ class OptimizerConfig:
     schedule: ScheduleConfig | None = None
 
     def __post_init__(self):
+        _require_structure(self)
         _require(self.kind in OPTIMIZER_KINDS, "kind",
                  f"one of {', '.join(OPTIMIZER_KINDS)}", self.kind)
-        _require(_number(self.lr) and 0 < self.lr < math.inf, "lr",
+        _require(_finite(self.lr) and self.lr > 0, "lr",
                  "a finite number > 0", self.lr)
         for key in ("momentum", "beta1", "beta2"):
             value = getattr(self, key)
             _require(_number(value) and 0.0 <= value < 1.0, key, "in [0, 1)",
                      value)
-        _require(_number(self.eps) and 0 < self.eps < math.inf, "eps",
+        _require(_finite(self.eps) and self.eps > 0, "eps",
                  "a finite number > 0", self.eps)
-        _require(_number(self.weight_decay)
-                 and 0 <= self.weight_decay < math.inf, "weight_decay",
-                 "a finite number >= 0", self.weight_decay)
+        _require(_finite(self.weight_decay) and self.weight_decay >= 0,
+                 "weight_decay", "a finite number >= 0", self.weight_decay)
 
     def lr_at(self, epoch: int) -> float:
         """Step decay: lr * factor^floor((epoch - 1) / every_k), epoch >= 1."""
@@ -449,6 +467,7 @@ class TrainConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
+        _require_structure(self)
         _require(isinstance(self.loss, str) and self.loss in TRAIN_LOSS_MODES,
                  "loss", "ce or bce", self.loss)
         _require_counts(self, [("epochs", 0), ("batch_size", 1),
@@ -465,95 +484,37 @@ class EpochRecord:
     seconds: float
 
 
-def _check_source_mode(source, kind: str):
-    base = source.base if isinstance(source, ConcatView) else source
-    if not isinstance(base, ClassificationDataset):
-        raise ValueError("a network trains on classification data")
-    if source.mode != TRAIN_LOSS_MODES[kind]:
-        raise ValueError(f"{kind} loss needs {TRAIN_LOSS_MODES[kind]} targets")
-
-
 @dataclass(frozen=True)
 class _DatasetStack:
-    """Concrete datasets of one shape, stacked on a leading slice axis."""
-
-    features: np.ndarray  # (S, n, d)
-    targets: np.ndarray  # (S, n, c)
-    is_one_hot: bool
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[1]
+    """A stack's datasets as (S, n, .) arrays, for one ``classify_error``."""
+    features: np.ndarray
+    targets: np.ndarray
+    is_one_hot: bool = True
 
 
-def _stack_sources(sources, kind: str) -> _DatasetStack:
-    first = sources[0]
-    for source in sources:
-        if not isinstance(source, ClassificationDataset):
-            raise ValueError("stacks train on concrete classification data")
-        if (source.features.shape != first.features.shape
-                or source.targets.shape != first.targets.shape):
-            raise ValueError("stacked sources must be datasets of one shape")
-        _check_source_mode(source, kind)
-    one_hot = {s.is_one_hot for s in sources}
-    if len(one_hot) != 1:
-        raise ValueError("stacked sources must be all one-hot or none")
-    return _DatasetStack(np.stack([s.features for s in sources]),
-                         np.stack([s.targets for s in sources]),
-                         one_hot.pop())
+def _epoch_batches(sources, config: TrainConfig, rngs, X, T):
+    """Yield one epoch's (features, targets) minibatches of every slice.
 
-
-def _epoch_buffers(source):
-    """Feature and target arrays one epoch of ``source`` is gathered into.
-
-    None for a ConcatView, whose epochs ``ConcatView.batch`` gathers.
+    Slice s fills row s of the (S, rows, .) buffers ``X`` and ``T``, which
+    ``train`` allocates once per call, from its own stream: a dataset with
+    its rows in a fresh permutation, a ConcatView with min(n * e_mult, n^2)
+    pairs sampled without replacement, in sampled order.  Each step then
+    trains on a contiguous batch_size slice of every row (final partial
+    batch included) instead of a fresh gather.
     """
-    if isinstance(source, ConcatView):
-        return None
-    return np.empty_like(source.features), np.empty_like(source.targets)
-
-
-def _epoch_batches(source, config: TrainConfig, rngs, buffers):
-    """Yield (features, targets) minibatches for one epoch.
-
-    Concrete datasets are shuffled by a fresh permutation and cut into
-    batch_size slices (final partial batch included).  The whole permuted
-    epoch is gathered once into ``buffers`` (from ``_epoch_buffers``,
-    reused every epoch), so each step gets a contiguous slice instead of a
-    fresh gather.  A stack draws one permutation per slice, each from that
-    slice's own stream, and gathers each slice's rows with its own
-    permutation.  A ConcatView epoch is min(n * e_mult, n^2) pairs sampled
-    without replacement, consumed in sampled order.
-    """
+    for source, rng, x_out, t_out in zip(sources, rngs, X, T):
+        if isinstance(source, ConcatView):
+            x_out[...], t_out[...] = source.batch(
+                sample_pairs(source, len(x_out), rng))
+        else:
+            perm = rng.permutation(source.n)
+            # a permutation is always in range; mode="clip" lets take write
+            # straight into out, where the default mode goes through a buffer
+            np.take(source.features, perm, axis=0, out=x_out, mode="clip")
+            np.take(source.targets, perm, axis=0, out=t_out, mode="clip")
     bs = config.batch_size
-    if isinstance(source, ConcatView):
-        (rng,) = rngs
-        m = min(source.n * config.e_mult, source.pair_count)
-        features, targets = source.batch(sample_pairs(source, m, rng))
-        for lo in range(0, m, bs):
-            yield features[lo:lo + bs], targets[lo:lo + bs]
-        return
-    X, T = buffers
-    if isinstance(source, _DatasetStack):
-        lead, slices = (slice(None),), zip(source.features, source.targets, X, T)
-    else:
-        lead, slices = (), [(source.features, source.targets, X, T)]
-    for (features, targets, x_out, t_out), rng in zip(slices, rngs):
-        perm = rng.permutation(source.n)
-        # a permutation is always in range; mode="clip" lets take write
-        # straight into out, where the default mode goes through a buffer
-        np.take(features, perm, axis=0, out=x_out, mode="clip")
-        np.take(targets, perm, axis=0, out=t_out, mode="clip")
-    for lo in range(0, source.n, bs):
-        rows = (*lead, slice(lo, lo + bs))
-        yield X[rows], T[rows]
-
-
-def _per_slice(value, count: int) -> list:
-    """One Python float per slice from a float or an (S,) array."""
-    if value is None:
-        return [None] * count
-    return [float(v) for v in np.reshape(value, count)]
+    for lo in range(0, X.shape[1], bs):
+        yield X[:, lo:lo + bs], T[:, lo:lo + bs]
 
 
 def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
@@ -565,39 +526,54 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
     evaluated after every epoch with the training loss kind (plus argmax
     error if it is one-hot).
 
-    Given equal-length sequences of models, sources and seeds instead,
-    the models train as one stack under the one ``config``, and ``train``
-    returns a list of fitted models and one record list per slice.  The
-    sources must be classification datasets of one shape.  Slice s draws
-    its epoch permutations from ``Rng(seeds[s])``, exactly as a separate
-    call would, and its records equal that call's; ``seconds`` is the
-    epoch time of the whole stack.  A non-finite loss in any slice raises
-    ``TrainingDivergedError`` for the stack.
+    Every call trains a stack, in one loop: given equal-length sequences
+    of models, sources and seeds, the models train as one stack under the
+    one ``config``, and ``train`` returns the fitted models and one record
+    list per slice; a single model is a stack of one.  The sources are
+    all classification datasets or all ``ConcatView``s of them, of one
+    shape.  Slice s draws its epochs from ``Rng(seeds[s])`` and equals a
+    separate call bit for bit; ``seconds`` is the whole stack's epoch
+    time.  A non-finite loss in any slice raises ``TrainingDivergedError``.
     """
-    stacked = not isinstance(model, MlpModel)
-    if stacked:
-        models, sources, seeds = list(model), list(source), list(seed)
-        if not len(models) == len(sources) == len(seeds) >= 1:
-            raise ValueError("a stack needs equally many models, sources "
-                             "and seeds, at least one of each")
-        model = MlpModel.stack(models)
-        source = _stack_sources(sources, config.loss)
-        rngs = [Rng(s) for s in seeds]
-    else:
-        _check_source_mode(source, config.loss)
-        model = model.copy()
-        rngs = [Rng(seed)]
-    train_one_hot = not isinstance(source, ConcatView) and source.is_one_hot
-    count = len(rngs)
+    single = isinstance(model, MlpModel)
+    if single:
+        model, source, seed = [model], [source], [seed]
+    model, sources, rngs = list(model), list(source), [Rng(s) for s in seed]
+    if not len(sources) == len(rngs) == len(model) >= 1:
+        raise ValueError("a stack needs equally many models, sources "
+                         "and seeds, at least one of each")
+    view = isinstance(sources[0], ConcatView)
+    base = sources[0].base if view else sources[0]
+    for s in sources:
+        s_base = s.base if isinstance(s, ConcatView) else s
+        if not isinstance(s_base, ClassificationDataset):
+            raise ValueError("a network trains on classification data")
+        if s.mode != TRAIN_LOSS_MODES[config.loss]:
+            raise ValueError(f"{config.loss} loss needs "
+                             f"{TRAIN_LOSS_MODES[config.loss]} targets")
+        if (isinstance(s, ConcatView) != view
+                or s_base.features.shape != base.features.shape
+                or s_base.targets.shape != base.targets.shape
+                or (not view and s.is_one_hot != base.is_one_hot)):
+            raise ValueError("stacked sources must be all datasets or all "
+                             "concat views, of one shape, one-hot or not")
+    model = MlpModel.stack(model)
+    # a view's epoch is min(n * e_mult, n^2) pairs of width 2d
+    rows = min(base.n * config.e_mult, base.n ** 2) if view else base.n
+    X = np.empty((len(sources), rows, (1 + view) * base.dim),
+                 base.features.dtype)
+    T = np.empty((len(sources), rows, base.class_count),
+                 np.result_type(base.targets, 0.5))  # pair means of ints
+    train_set = None if view or not base.is_one_hot else _DatasetStack(
+        np.stack([s.features for s in sources]),
+        np.stack([s.targets for s in sources]))
     state = make_optim_state(config.optimizer, model)
-    buffers = _epoch_buffers(source)
     grads = MlpGrads._from_theta(np.empty_like(model.theta), model.shapes)
-    records = [[] for _ in range(count)]
+    records = [[] for _ in sources]
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         state.lr = config.optimizer.lr_at(epoch)
         total_loss = 0.0
-        total_rows = 0
         test_loss = test_error = None
         # overflow in a diverging run, in its steps or its evaluation, is
         # reported via the explicit non-finite loss check, not as numpy
@@ -605,13 +581,12 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
         # evaluation after it, so that evaluation sits in the same try
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for X, T in _epoch_batches(source, config, rngs, buffers):
-                    loss, _ = loss_and_grad(model, X, T, config.loss, grads)
+                for x, t in _epoch_batches(sources, config, rngs, X, T):
+                    loss, _ = loss_and_grad(model, x, t, config.loss, grads)
                     opt_step(model, grads, state)
-                    total_loss += loss * X.shape[-2]
-                    total_rows += X.shape[-2]
-                train_error = (classify_error(model, source) if train_one_hot
-                               else None)
+                    total_loss += loss * x.shape[1]
+                train_error = (None if train_set is None
+                               else classify_error(model, train_set))
                 if test_set is not None:
                     test_loss = eval_loss(model, test_set.features,
                                           test_set.targets, config.loss)
@@ -619,15 +594,14 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
                         test_error = classify_error(model, test_set)
             except FloatingPointError as exc:
                 raise TrainingDivergedError(epoch) from exc
-        rows = zip(_per_slice(total_loss / total_rows, count),
-                   _per_slice(train_error, count),
-                   _per_slice(test_loss, count), _per_slice(test_error, count))
+        columns = (total_loss / rows, train_error, test_loss, test_error)
         seconds = time.perf_counter() - started
-        for slice_records, row in zip(records, rows):
-            slice_records.append(EpochRecord(epoch, *row, seconds))
-    if stacked:
-        return model.unstack(), records
-    return model, records[0]
+        for s, slice_records in enumerate(records):
+            slice_records.append(EpochRecord(
+                epoch, *(None if c is None else float(c[s]) for c in columns),
+                seconds))
+    fitted = model.unstack()
+    return (fitted[0], records[0]) if single else (fitted, records)
 
 
 # -- model lifting ------------------------------------------------------------
@@ -656,7 +630,9 @@ def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
                eps: float = 1e-5) -> float:
     """Max relative deviation between analytic and central-difference grads.
 
-    Deviation per parameter is |a - f| / max(1e-8, |a| + |f|).
+    Deviation per parameter is |a - f| / max(1e-6, |a| + |f|): the floor
+    judges a tiny component by its absolute error, as the quotient's own
+    rounding (about 1e-11 at eps = 1e-5) would dwarf it relatively.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -673,5 +649,5 @@ def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
         theta[i] = orig
         fd = (hi - lo) / (2.0 * eps)
         a = grads.theta[i]
-        worst = max(worst, abs(a - fd) / max(1e-8, abs(a) + abs(fd)))
+        worst = max(worst, abs(a - fd) / max(1e-6, abs(a) + abs(fd)))
     return worst

@@ -25,7 +25,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import os
 import platform
 import re
@@ -48,8 +47,9 @@ from .datagen import (ClassificationDataset, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
 from .linreg import linreg_sample_sweep
-from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, _int_at_least,
-                   _number, _require, _require_counts, init_mlp, train)
+from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, _finite,
+                   _int_at_least, _number, _require, _require_counts,
+                   _require_structure, init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
@@ -85,10 +85,10 @@ class ConfigError(ValueError):
 # -- config schema -------------------------------------------------------------
 #
 # A section checks the type and range of each value it holds (None is
-# unset) when it is built, parsed or not; which keys each kind reads, and
-# the rules that hang on a kind, are SweepConfig's.  Each rule's message
-# starts with the field's key; parsing keeps only structure (lists,
-# sections) and prefixes the section path.
+# unset), lists and sections first, when it is built, parsed or not; which
+# keys each kind reads, and the rules that hang on a kind, are
+# SweepConfig's.  Each rule's message starts with the field's key; parsing
+# only recurses into sections and prefixes the section path.
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ class DataSection:
                  "kind", " or ".join(DATA_KIND_KEYS), self.kind)
         _require_counts(self, [("n", 1), ("d", 1), ("test_n", 1),
                                ("classes", 2)])
-        _require(self.separation is None or (_number(self.separation)
-                 and 0 < self.separation < math.inf), "separation",
+        _require(self.separation is None or (_finite(self.separation)
+                 and self.separation > 0), "separation",
                  "a finite number > 0", self.separation)
         _require(_number(self.noise_fraction)
                  and 0.0 <= self.noise_fraction <= 1.0, "noise_fraction",
@@ -154,6 +154,7 @@ class SweepConfig:
     splits: SplitsSection | None = None
 
     def __post_init__(self):
+        _require_structure(self)
         _require(self.experiment in EXPERIMENT_KINDS, "experiment",
                  f"one of {', '.join(EXPERIMENT_KINDS)}", self.experiment)
         # the id is a file name stem and every CSV row's first cell
@@ -172,8 +173,8 @@ class SweepConfig:
         _require_counts(self, [("threads", 1), ("d", 1), ("n_test", 1)])
         _require(self.out_dir is None or isinstance(self.out_dir, str),
                  "out_dir", "a string", self.out_dir)
-        _require(self.sigma is None or (_number(self.sigma)
-                 and 0 <= self.sigma < math.inf), "sigma",
+        _require(self.sigma is None or (_finite(self.sigma)
+                 and self.sigma >= 0), "sigma",
                  "a finite number >= 0", self.sigma)
         _check_kind_keys(self.experiment, self, KIND_KEYS, self.experiment)
         for key in ("n_grid", "widths"):
@@ -238,19 +239,14 @@ def _check_kind_keys(owner: str, section, table: dict, kind: str) -> None:
 
 def _coerce(value, annotation, path):
     if typing.get_origin(annotation) in (typing.Union, types.UnionType):
-        if value is None:
-            return None
         annotation = typing.get_args(annotation)[0]  # the X of X | None
-    if annotation is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list")
+    if isinstance(value, list):
         return list(value)
-    if dataclasses.is_dataclass(annotation):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected an object")
+    if dataclasses.is_dataclass(annotation) and isinstance(value, dict):
         return _parse_dataclass(annotation, value, path)
-    # a scalar is its section's to check; a float field's int turns float
-    return float(value) if annotation is float and _number(value) else value
+    # a float field's int turns float if it can; one past float range is
+    # left as it is, for the section to refuse
+    return float(value) if annotation is float and _finite(value) else value
 
 
 def _parse_dataclass(cls, data: dict, prefix: str = ""):

@@ -99,7 +99,9 @@ class TestSweepCommands:
         assert proc.stderr.splitlines()[-1] == "error: unknown key 'sgima'"
 
     @pytest.mark.parametrize(
-        "override", ["d=0", "d=-3", "n_test=0", "sigma=NaN", "sigma=-0.1"])
+        "override", ["d=0", "d=-3", "n_test=0", "sigma=NaN", "sigma=-0.1",
+                     pytest.param("sigma=1" + "0" * 400,
+                                  id="sigma-past-float-range")])
     def test_bad_linreg_size_exit_code_2(self, tmp_path, override):
         cfg = write_config(tmp_path, tiny_linreg_config())
         proc = run_cli(["linreg-sweep", "-c", str(cfg), "--set", override,

@@ -10,12 +10,12 @@ from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
                    TrainConfig, TrainingDivergedError, build_concat_test,
                    classify_error, forward, gen_mixture_classification,
                    grad_check, init_mlp, lift_model, loss_and_grad, one_hot,
-                   opt_step, pinv_solve, split_k, train)
+                   opt_step, pinv_solve, sample_pairs, split_k, train)
+from ddlab import nnet
 from ddlab.cli import _near_kink
 from ddlab.datagen import ClassificationDataset
-from ddlab.nnet import (LOSS_BCE, LOSS_CE, LOSS_KINDS, MlpGrads, MlpModel,
-                        _DatasetStack, _epoch_batches, _epoch_buffers,
-                        _stack_sources, make_optim_state)
+from ddlab.nnet import (LOSS_BCE, LOSS_CE, LOSS_KINDS, TRAIN_LOSS_MODES,
+                        MlpGrads, MlpModel, _epoch_batches, make_optim_state)
 
 
 def random_model(rng, d_in=4, h=5, c=3, bias_scale=0.3):
@@ -172,44 +172,55 @@ def test_stacked_steps_match_separate_models(
         assert np.array_equal(logits[s], forward(model, shared))
 
 
-def reference_epoch_batches(source, config, rngs):
-    """Epoch batches by a fresh fancy-index gather per step."""
+def reference_epoch_batches(sources, config, rngs):
+    """Each slice's epoch by a fresh fancy-index gather per step (a dataset)
+    or by ``view.batch`` of its sampled pairs (a view), stacked per step."""
     bs = config.batch_size
-    perms = [rng.permutation(source.n) for rng in rngs]
-    if isinstance(source, _DatasetStack):
-        lead, perm = (np.arange(len(perms))[:, None],), np.stack(perms)
-    else:
-        lead, (perm,) = (), perms
-    for lo in range(0, source.n, bs):
-        sel = (*lead, perm[..., lo:lo + bs])
-        yield source.features[sel], source.targets[sel]
+    steps = []
+    for source, rng in zip(sources, rngs):
+        if isinstance(source, ConcatView):
+            m = min(source.n * config.e_mult, source.pair_count)
+            features, targets = source.batch(sample_pairs(source, m, rng))
+            steps.append([(features[lo:lo + bs], targets[lo:lo + bs])
+                          for lo in range(0, m, bs)])
+        else:
+            perm = rng.permutation(source.n)
+            steps.append([(source.features[perm[lo:lo + bs]],
+                           source.targets[perm[lo:lo + bs]])
+                          for lo in range(0, source.n, bs)])
+    for step in zip(*steps):
+        yield np.stack([x for x, _ in step]), np.stack([t for _, t in step])
 
 
 @settings(max_examples=100, deadline=None)
-@given(stack=st.sampled_from([None, 1, 2, 3]),
-       n=st.integers(1, 40), d=st.integers(1, 4),
-       c=st.integers(1, 4), epochs=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_epoch_gather_matches_per_step_gather(stack, n, d, c, epochs, seed,
-                                              data):
-    batch_size = data.draw(st.integers(1, n + 3))  # partial batches included
+@given(stack=st.integers(1, 3), view=st.booleans(),
+       loss=st.sampled_from(LOSS_KINDS), n=st.integers(1, 30),
+       d=st.integers(1, 4), c=st.integers(1, 4), e_mult=st.integers(1, 3),
+       epochs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_epoch_gather_matches_per_step_gather(stack, view, loss, n, d, c,
+                                              e_mult, epochs, seed, data):
+    rows = min(n * e_mult, n * n) if view else n
+    batch_size = data.draw(st.integers(1, rows + 3))  # partial batches too
     rng = Rng(seed)
-    sources = [ClassificationDataset(rng.standard_normal((n, d)),
-                                     one_hot(rng.integers(c, size=n), c))
-               for _ in range(stack or 1)]
-    source = sources[0] if stack is None else _stack_sources(sources, LOSS_CE)
-    config = TrainConfig(LOSS_CE, epochs, batch_size)
-    seeds = [seed + s for s in range(stack or 1)]
+    bases = [ClassificationDataset(rng.standard_normal((n, d)),
+                                   one_hot(rng.integers(c, size=n), c),
+                                   TRAIN_LOSS_MODES[loss])
+             for _ in range(stack)]
+    sources = [ConcatView(b) for b in bases] if view else bases
+    config = TrainConfig(loss, epochs, batch_size, e_mult)
+    seeds = [seed + s for s in range(stack)]
     rngs, ref_rngs = [Rng(s) for s in seeds], [Rng(s) for s in seeds]
-    buffers = _epoch_buffers(source)
+    X = np.empty((stack, rows, (1 + view) * d))
+    T = np.empty((stack, rows, c))
     for _ in range(epochs):  # later epochs reuse the buffers
-        got = [(X.copy(), T.copy())
-               for X, T in _epoch_batches(source, config, rngs, buffers)]
-        want = list(reference_epoch_batches(source, config, ref_rngs))
+        got = [(x.copy(), t.copy())
+               for x, t in _epoch_batches(sources, config, rngs, X, T)]
+        want = list(reference_epoch_batches(sources, config, ref_rngs))
         assert len(got) == len(want)
-        for (X, T), (ref_X, ref_T) in zip(got, want):
-            assert np.array_equal(X, ref_X) and np.array_equal(T, ref_T)
-            assert X.shape == ref_X.shape and T.shape == ref_T.shape
+        for (x, t), (ref_x, ref_t) in zip(got, want):
+            assert np.array_equal(x, ref_x) and np.array_equal(t, ref_t)
+            assert x.shape == ref_x.shape and t.shape == ref_t.shape
     for a, b in zip(rngs, ref_rngs):
         assert a.random() == b.random()
 
@@ -445,21 +456,47 @@ class TestLosses:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
-    def test_finite_difference_agreement(self, kind):
-        # one seed per kind, the same in every process (Python salts
-        # hash(str) per process), and gradcheck's rule for kinks
-        rng = Rng(LOSS_KINDS.index(kind))
-        checked = 0
-        while checked < 5:
+    @staticmethod
+    def _draws(seed, kind, count=5):
+        """(model, X, T) draws from ``Rng(seed)``, the same in every
+        process, redrawing inputs near a ReLU kink (gradcheck's rule)."""
+        rng = Rng(seed)
+        while count:
             model = random_model(rng)
             X = rng.standard_normal((3, 4))
             if _near_kink(model, X, 1e-5):
                 continue
-            T = random_targets(rng, 3, 3, kind)
-            assert grad_check(model, X, T, kind) < 1e-4
-            checked += 1
+            yield model, X, random_targets(rng, 3, 3, kind)
+            count -= 1
 
+    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
+    def test_finite_difference_agreement(self, kind):
+        # one seed per kind (Python salts hash(str) per process)
+        for model, X, T in self._draws(LOSS_KINDS.index(kind), kind):
+            assert grad_check(model, X, T, kind) < 1e-4
+
+    def test_tiny_component_judged_by_absolute_error(self):
+        # a -2.8e-8 component that agrees with its difference quotient to
+        # 1.7e-11 read 3.0e-4 against a 1e-8 floor
+        for model, X, T in self._draws(485, LOSS_BCE):
+            assert grad_check(model, X, T, LOSS_BCE) < 1e-4
+
+    @pytest.mark.parametrize("w2_scale", [1.0, 1e-4])
+    @pytest.mark.parametrize("kind", [LOSS_CE, LOSS_BCE])
+    def test_wrong_gradient_fails(self, kind, w2_scale, monkeypatch):
+        # b1's gradient 0.1% off reads past the 1e-4 limit, also when a
+        # small W2 shrinks it to about 1e-5, so the floor is not too loose
+        right = nnet.loss_and_grad
+
+        def wrong(*args, **kwargs):
+            loss, grads = right(*args, **kwargs)
+            grads.b1[...] *= 1.001
+            return loss, grads
+
+        monkeypatch.setattr(nnet, "loss_and_grad", wrong)
+        for model, X, T in self._draws(LOSS_KINDS.index(kind), kind):
+            model.W2[...] *= w2_scale
+            assert grad_check(model, X, T, kind) > 1e-4
 
 
 class TestBackwardMemory:
@@ -762,7 +799,7 @@ class TestTrain:
             train(init_mlp(4, 4, 1, Rng(0)), ds, cfg, 0)
         with pytest.raises(ValueError, match="classification data"):
             train(init_mlp(8, 4, 1, Rng(0)), ConcatView(ds), cfg, 0)
-        with pytest.raises(ValueError, match="concrete classification data"):
+        with pytest.raises(ValueError, match="classification data"):
             train([init_mlp(4, 4, 1, Rng(j)) for j in range(2)], [ds, ds],
                   cfg, [0, 1])
         with pytest.raises(ValueError,
@@ -823,19 +860,58 @@ class TestStackedTrain:
             assert traces[j][-1].test_loss is None  # no test set
             assert traces[j][-1].test_error is None
 
-    def test_stack_needs_concrete_sources_of_one_shape(self):
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    @pytest.mark.parametrize("e_mult", [1, 2])
+    def test_concat_view_stack_equals_serial_calls(self, loss, e_mult):
+        # ce trains on averaged pair targets, bce on their multi-hot max
+        mode = TRAIN_LOSS_MODES[loss]
+        splits = [ClassificationDataset(s.features, s.targets, mode)
+                  for s in self._splits(k=3, size=12)]
+        views = [ConcatView(s) for s in splits]
+        test = build_concat_test(gen_mixture_classification(
+            20, 5, 3, 3.0, Rng(63)))
+        test = ClassificationDataset(test.features, test.targets, mode)
+        config = TrainConfig(loss, 3, 10, e_mult,
+                             OptimizerConfig("adam", lr=0.01))
+        models = [init_mlp(10, 6, 3, Rng(90 + j)) for j in range(3)]
+        fitted, traces = train(models, views, config, self.SEEDS,
+                               test_set=test)
+        for j in range(3):
+            alone, records = train(models[j], views[j], config,
+                                   self.SEEDS[j], test_set=test)
+            assert np.array_equal(fitted[j].theta, alone.theta)
+            fields = ("epoch", "train_loss", "train_error", "test_loss",
+                      "test_error")
+            assert [[getattr(r, f) for f in fields] for r in traces[j]] == \
+                [[getattr(r, f) for f in fields] for r in records]
+            assert traces[j][-1].train_error is None  # pair targets
+            assert type(traces[j][-1].test_error) is float
+
+    def test_stack_needs_sources_of_one_kind_and_shape(self):
         splits = self._splits(k=2)
         models = [init_mlp(5, 4, 3, Rng(j)) for j in range(2)]
         config, seeds = self._config(), self.SEEDS[:2]
-        with pytest.raises(ValueError, match="concrete"):
-            train(models, [ConcatView(s) for s in splits], config, seeds)
+        # the sources are checked before the models are stacked
+        views = [ConcatView(s) for s in splits]
+        for mixed in ([splits[0], views[1]], [views[0], splits[1]]):
+            with pytest.raises(ValueError, match="all datasets or all"):
+                train(models, mixed, config, seeds)
         short = splits[1].take(np.arange(40))
         with pytest.raises(ValueError, match="one shape"):
             train(models, [splits[0], short], config, seeds)
+        with pytest.raises(ValueError, match="one shape"):
+            train(models, [views[0], ConcatView(short)], config, seeds)
+        # a soft-target slice would have no train error where the other has
+        soft = ClassificationDataset(splits[1].features,
+                                     0.5 * splits[1].targets + 0.5 / 3)
+        with pytest.raises(ValueError, match="one-hot or not"):
+            train(models, [splits[0], soft], config, seeds)
         with pytest.raises(ValueError, match="equally many"):
             train(models, splits[:1], config, seeds)
         with pytest.raises(ValueError, match="equally many"):
             train(models, splits, config, seeds[:1])
+        with pytest.raises(ValueError, match="equally many"):
+            train(models[:1], splits, config, seeds)
 
     def test_one_diverging_slice_fails_the_stack(self):
         (tame,) = self._splits(k=1, size=20)

@@ -406,11 +406,11 @@ class TestConfigParsing:
             parse_config(raw)
 
 
-# -- one type rule per scalar config field --------------------------------------
+# -- one type rule per config field ---------------------------------------------
 #
-# Parsing checks only structure (lists, nested sections); every scalar field
-# is its section's to check, type first.  The fields are read off the
-# dataclasses, so a field added without a type rule fails here.
+# Parsing only recurses into sections; every field is its section's to
+# check, type first.  The fields are read off the dataclasses, so a field
+# added without a type rule fails here.
 
 SECTION_PATHS = {SweepConfig: "", DataSection: "data", SplitsSection: "splits",
                  TrainConfig: "train", OptimizerConfig: "train.optimizer",
@@ -418,17 +418,24 @@ SECTION_PATHS = {SweepConfig: "", DataSection: "data", SplitsSection: "splits",
 # each scalar annotation -> the probe types it accepts
 SCALAR_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 TYPE_PROBES = (True, "x", 1, 1.5, None, [1], {})
+# an int no float holds; it passes `< math.inf`, which compares it exactly
+PAST_FLOAT_RANGE = 10**400
 
 
-def wrong_typed_fields(cls):
-    """(field name, wrong-typed probe values) for each scalar field."""
+def wrong_typed_fields(cls, parsed=False):
+    """(field name, wrong-typed probe values) for each field.  A float
+    field also gets an int past float range; a section field given as
+    JSON takes an object, so ``parsed`` probes it with no dict."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         base, *rest = typing.get_args(hints[f.name]) or (hints[f.name],)
         if base is list or dataclasses.is_dataclass(base):
-            continue
-        accepted = SCALAR_TYPES[base] + tuple(rest)  # NoneType if optional
-        yield f.name, [v for v in TYPE_PROBES if type(v) not in accepted]
+            accepted = (base, dict) if parsed and base is not list else (base,)
+        else:
+            accepted = SCALAR_TYPES[base]
+        accepted += tuple(rest)  # NoneType if optional
+        yield f.name, ([v for v in TYPE_PROBES if type(v) not in accepted]
+                       + [PAST_FLOAT_RANGE] * (base is float))
 
 
 class TestScalarTypeRules:
@@ -444,7 +451,7 @@ class TestScalarTypeRules:
             keys = path.split(".") if path else []
             if keys and keys[0] not in base:
                 continue
-            for key, values in wrong_typed_fields(cls):
+            for key, values in wrong_typed_fields(cls, parsed=True):
                 dotted = ".".join(keys + [key])
                 for value in values:
                     raw = json.loads(json.dumps(base))
