@@ -60,7 +60,7 @@ def _load_config_file(path_arg: str) -> dict:
             raise ConfigError(f"config file not found: {path_arg}")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past 4,300 digits
         raise ConfigError(f"invalid JSON in {path_arg}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object: {path_arg}")
@@ -73,7 +73,7 @@ def _parse_override(item: str):
     key, text = item.split("=", 1)
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an int past 4,300 digits
         value = text  # bare strings need no quoting
     return key.strip(), value
 

@@ -195,7 +195,8 @@ def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
     shifted = Z - Z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _total(values: np.ndarray):
@@ -241,7 +242,10 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
             raise ValueError("cross-entropy targets must sum to 1 per row")
         logp = _log_softmax(Z2)
         loss = -_total(T * logp) / batch
-        dZ2 = (np.exp(logp) * row_mass - T) / batch
+        dZ2 = np.exp(logp)
+        dZ2 *= row_mass
+        dZ2 -= T
+        dZ2 /= batch
     else:  # LOSS_BCE
         per = np.maximum(Z2, 0.0) - Z2 * T + np.log1p(np.exp(-np.abs(Z2)))
         loss = _total(per) / batch
@@ -567,6 +571,7 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
     train_set = None if view or not base.is_one_hot else _DatasetStack(
         np.stack([s.features for s in sources]),
         np.stack([s.targets for s in sources]))
+    test_one_hot = test_set is not None and test_set.is_one_hot
     state = make_optim_state(config.optimizer, model)
     grads = MlpGrads._from_theta(np.empty_like(model.theta), model.shapes)
     records = [[] for _ in sources]
@@ -590,7 +595,7 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
                 if test_set is not None:
                     test_loss = eval_loss(model, test_set.features,
                                           test_set.targets, config.loss)
-                    if test_set.is_one_hot:
+                    if test_one_hot:
                         test_error = classify_error(model, test_set)
             except FloatingPointError as exc:
                 raise TrainingDivergedError(epoch) from exc

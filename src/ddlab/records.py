@@ -31,7 +31,7 @@ def fmt_value(value) -> str:
 class CurvePoint:
     experiment_id: str
     variant: str
-    axis_name: str  # hidden_units | params | samples | epoch
+    axis_name: str  # hidden_units | samples | epoch
     axis_value: float
     train_loss: float | None = None
     train_error: float | None = None

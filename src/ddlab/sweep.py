@@ -4,11 +4,11 @@ A sweep is described by a JSON config parsed strictly (unknown keys are
 fatal) into the dataclasses below.  ``RUNNERS`` splits each experiment
 kind into cells, the unit of work, and one loop, ``run_sweep``, runs the
 cells of every kind.  With ``threads`` > 1, linreg-sample and mlp-width
-cells run on a pool that hands them out from both ends of the cell list;
-biasvar cells stay serial.  Results are collected in canonical
-order, so the thread count never changes the output bytes.  A cell that
-raises becomes its failed rows and a manifest entry instead of aborting
-the sweep.
+cells run on a pool that hands the largest cells to the calling thread
+and the smallest to its helpers; biasvar cells stay serial.  Results are
+collected in canonical order, so the thread count never changes the
+output bytes.  A cell that raises becomes its failed rows and a manifest
+entry instead of aborting the sweep.
 
 Seed discipline: each sweep seed s fans out through mix_seed(s, tag) into
 one stream per purpose (data, label noise, init, training), so the base
@@ -19,6 +19,7 @@ checkable.
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import functools
@@ -371,10 +372,12 @@ class SweepResult:
 class Cell(typing.NamedTuple):
     """``run() -> (points, trace points)``; if it raises, the sweep writes
     ``failed_rows`` instead.  ``seed`` keys the cell's input hash; linreg
-    cells, which have no base data, have None."""
+    cells, which have no base data, have None.  ``size`` (n for a linreg
+    cell, the width for a network cell) orders the pool's handout."""
 
     id: str
     seed: int | None
+    size: int
     failed_rows: list
     run: typing.Callable
 
@@ -423,7 +426,7 @@ def linreg_cells(cfg: SweepConfig, base: dict):
         failed = [CurvePoint(cfg.experiment_id, variant, "samples", float(n),
                              seed=seed, status=STATUS_FAILED)
                   for variant in cfg.variants for seed in cfg.seeds]
-        yield Cell(f"n{n}", None, failed,
+        yield Cell(f"n{n}", None, n, failed,
                    functools.partial(_linreg_cell, cfg, n))
 
 
@@ -434,7 +437,7 @@ def network_cells(cfg: SweepConfig, base: dict):
                                                   cfg.seeds):
         failed = CurvePoint(cfg.experiment_id, variant, "hidden_units",
                             float(width), seed=seed, status=STATUS_FAILED)
-        yield Cell(f"{variant}/w{width}/s{seed}", seed, [failed],
+        yield Cell(f"{variant}/w{width}/s{seed}", seed, width, [failed],
                    functools.partial(_network_cell, cfg, base[seed], variant,
                                      width, seed))
 
@@ -450,7 +453,7 @@ def biasvar_cells(cfg: SweepConfig, base: dict):
         raise ConfigError(f"splits.k * splits.split_size must be <= the "
                           f"{rows} train rows, got {need}")
     for width in cfg.widths:
-        yield Cell(f"{variant}/w{width}/s{seed}", seed, [],
+        yield Cell(f"{variant}/w{width}/s{seed}", seed, width, [],
                    functools.partial(_biasvar_cell, cfg, base[seed], width,
                                      seed))
 
@@ -482,31 +485,33 @@ def _pooled(run, cells: list, threads: int) -> list:
     calling thread among them, but never more threads than cells: a
     helper that can get no cell would only hold a malloc arena.
 
-    Cells are handed out from both ends of the list (c0, c_last, c1,
-    c_last-1, ...), so the costliest cells (the largest n, the widest
-    width) run next to the cheapest rather than next to each other.  The
-    caller drains the queue too instead of waiting on it: each thread's
-    malloc arena keeps about the largest working set of the cells it ran,
-    so ``threads`` workers beside an idle caller would hold one such set
-    more than the caller beside ``threads - 1`` workers.
+    Each thread's malloc arena keeps about the largest working set of the
+    cells it ran.  So the cells wait in one deque sorted by ``size``: the
+    caller takes them from the large end and the helpers from the small
+    end until it is empty.  Only the caller's arena then holds the
+    largest cells' working set (the widest width's test-set evaluation,
+    the largest n's pair design); the helpers' stay at the size of the
+    small and middle cells.  Where the two ends meet depends on how long
+    the cells take, so the threads finish together.  Outcomes land at
+    the cells' own indices, whatever thread ran them.
     """
-    ends = zip(range(len(cells)), reversed(range(len(cells))))
-    order = iter([i for pair in ends for i in pair][:len(cells)])
+    queue = collections.deque(sorted(range(len(cells)),
+                                     key=lambda i: cells[i].size))
     handout = threading.Lock()
     outcomes = [None] * len(cells)
 
-    def drain():
+    def drain(take):
         while True:
             with handout:
-                i = next(order, None)
-            if i is None:
-                return
+                if not queue:
+                    return
+                i = take()
             outcomes[i] = run(cells[i])
 
     pool = _helpers(threads - 1, os.getpid())
-    helpers = [pool.submit(drain)
+    helpers = [pool.submit(drain, queue.popleft)
                for _ in range(min(threads, len(cells)) - 1)]
-    drain()
+    drain(queue.pop)
     for helper in helpers:
         helper.result()
     return outcomes

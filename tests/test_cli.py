@@ -101,7 +101,10 @@ class TestSweepCommands:
     @pytest.mark.parametrize(
         "override", ["d=0", "d=-3", "n_test=0", "sigma=NaN", "sigma=-0.1",
                      pytest.param("sigma=1" + "0" * 400,
-                                  id="sigma-past-float-range")])
+                                  id="sigma-past-float-range"),
+                     # json.loads refuses ints of more than 4,300 digits
+                     pytest.param("sigma=1" + "0" * 5000,
+                                  id="sigma-past-int-digit-limit")])
     def test_bad_linreg_size_exit_code_2(self, tmp_path, override):
         cfg = write_config(tmp_path, tiny_linreg_config())
         proc = run_cli(["linreg-sweep", "-c", str(cfg), "--set", override,
@@ -110,6 +113,15 @@ class TestSweepCommands:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+    def test_int_past_digit_limit_in_config_file_exit_code_2(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(tiny_linreg_config(), sigma=0))
+                        .replace('"sigma": 0', '"sigma": 1' + "0" * 5000))
+        proc = run_cli(["linreg-sweep", "-c", str(path),
+                        "-o", str(tmp_path / "out")])
+        assert one_error_line(proc).startswith(f"error: invalid JSON in {path}")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli(["linreg-sweep", "-c", str(tmp_path / "none.json")])

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import typing
 from pathlib import Path
@@ -679,8 +681,12 @@ class TestWidthSweep:
         dict(LINREG_BOTH_VARIANTS, n_test=2100),
         mixture_config(widths=[2, 4], data=dict(_TINY_MIXTURE,
                                                 standardize=True)),
+        # unsorted grids: the pool hands cells out in another order
+        mixture_config(widths=[32, 3, 96]),
+        dict(LINREG_BOTH_VARIANTS, n_grid=[6, 9, 3]),
     ], ids=["mlp-width-two-seeds", *TRAINING_GOLDEN, "linreg",
-            "linreg-sliced-test", "mlp-width-standardize"])
+            "linreg-sliced-test", "mlp-width-standardize",
+            "mlp-width-unsorted", "linreg-unsorted"])
     def test_thread_count_does_not_change_results(self, tmp_path, raw):
         written = []
         for threads in (1, 2, 4):
@@ -729,6 +735,59 @@ class TestWidthSweep:
         assert proc.returncode == 0, proc.stderr
         same, helpers = proc.stdout.split()
         assert same == "True" and int(helpers) <= 1
+
+    @pytest.mark.parametrize("raw", [
+        mixture_config(widths=[32, 3, 96]),
+        dict(LINREG_BOTH_VARIANTS, n_grid=[6, 9, 3]),
+    ], ids=["mlp-width", "linreg"])
+    def test_caller_starts_on_the_largest_cell_a_helper_on_the_smallest(
+            self, raw):
+        cfg = parse_config(dict(raw, threads=2))
+        cells, hashes = sweep._plan(cfg)
+        ran, lock = [], threading.Lock()
+        # each thread's first cell waits until the other thread has taken
+        # its own, so neither can drain the deque alone
+        barrier = threading.Barrier(2, timeout=30)
+
+        def record(size):
+            with lock:
+                first = all(threading.get_ident() != t for t, _ in ran)
+                ran.append((threading.get_ident(), size))
+            if first:
+                barrier.wait()
+            return [], []
+
+        result = sweep._run_cells(cfg, [
+            cell._replace(run=functools.partial(record, cell.size))
+            for cell in cells], hashes)
+        assert result.failures == []
+        assert sorted(size for _, size in ran) == sorted(c.size for c in cells)
+        caller = threading.get_ident()
+        helper_sizes = [size for t, size in ran if t != caller]
+        caller_sizes = [size for t, size in ran if t == caller]
+        assert caller_sizes[0] == max(cell.size for cell in cells)
+        assert helper_sizes[0] == min(cell.size for cell in cells)
+
+    def test_pool_runs_every_cell_once_under_fast_thread_switches(self):
+        # more threads than cores, switching every microsecond: each cell
+        # still runs once, and its outcome lands in its own slot
+        cells = [sweep.Cell(str(i), None, (i * 7) % 50, [], None)
+                 for i in range(400)]
+        runs, lock = [], threading.Lock()
+
+        def run(cell):
+            with lock:
+                runs.append(cell.id)
+            return cell.id
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = sweep._pooled(run, cells, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [cell.id for cell in cells]
+        assert sorted(runs) == sorted(cell.id for cell in cells)
 
 
 class TestOutputs:
