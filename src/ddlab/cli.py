@@ -2,22 +2,22 @@
 
 Subcommands::
 
-    ddlab linreg-sweep -c fig1.json [-o DIR] [--set KEY=VALUE] [--threads N]
-    ddlab mlp-sweep    -c desk_mixture.json ...
-    ddlab biasvar      -c CONFIG ...
+    ddlab sweep        -c CONFIG [--set KEY=VALUE]... [-v]
     ddlab gradcheck    [--draws N] [--eps E] [--seed S]
     ddlab lift-check   [--draws N] [--seed S]
     ddlab idx-inspect  FILE
 
-Config files are JSON with the sweep schema; ``--set`` overrides use
-dotted paths into that JSON (``--set train.optimizer.lr=0.01``) and win
-over the file.  Unknown keys anywhere are fatal.  The environment
-variable ``DDLAB_SEED`` replaces the seed list with that single seed.
-A resolved-config echo (itself a valid config file) is printed before
-the run.
+``sweep`` runs whichever experiment kind the config's ``experiment`` key
+names.  Config files are JSON with the sweep schema; ``--set`` overrides
+use dotted paths into that JSON (``--set train.optimizer.lr=0.01``,
+``--set out_dir=runs/x``, ``--set threads=4``) and apply in command-line
+order over the file, so the last one for a key wins.  Unknown keys
+anywhere are fatal.  A resolved-config echo (itself a valid config file)
+is printed before the run.
 
 Exit codes: 0 success, 1 at least one failed cell or failed check,
-2 configuration error.  Errors print one line prefixed ``error:``.
+2 usage or configuration error.  Errors print one line prefixed
+``error:``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -36,12 +35,6 @@ from .idx import IdxFormatError, inspect_idx
 from .nnet import LOSS_KINDS, forward, grad_check, init_mlp, lift_model
 from .rng import Rng
 from .sweep import ConfigError, config_to_dict, parse_config, run_config
-
-SWEEP_COMMANDS = {
-    "linreg-sweep": "linreg-sample",
-    "mlp-sweep": "mlp-width",
-    "biasvar": "biasvar",
-}
 
 GRADCHECK_LIMIT = 1e-4
 LIFT_LIMIT = 1e-9
@@ -89,31 +82,11 @@ def _apply_override(raw: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _resolve_config(args) -> dict:
+def _run_sweep(args) -> int:
     raw = _load_config_file(args.config)
-    for item in args.set or []:
-        key, value = _parse_override(item)
-        _apply_override(raw, key, value)
-    env_seed = os.environ.get("DDLAB_SEED")
-    if env_seed is not None:
-        try:
-            raw["seeds"] = [int(env_seed)]
-        except ValueError:
-            raise ConfigError(f"DDLAB_SEED must be an integer, got '{env_seed}'")
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    return raw
-
-
-def _run_sweep_command(command: str, args) -> int:
-    raw = _resolve_config(args)
+    for item in args.set or []:  # in order: the last one for a key wins
+        _apply_override(raw, *_parse_override(item))
     cfg = parse_config(raw)
-    if cfg.experiment != SWEEP_COMMANDS[command]:
-        raise ConfigError(
-            f"config experiment '{cfg.experiment}' does not match "
-            f"subcommand '{command}'")
     print(json.dumps(config_to_dict(cfg), indent=2))
     out_dir = cfg.out_dir or f"runs/{cfg.experiment_id}"
     result = run_config(cfg, out_dir)
@@ -186,18 +159,21 @@ def run_lift_check(draws: int, seed: int):
     return worst_self, worst_pair
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ddlab",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="ddlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SWEEP_COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("-c", "--config", required=True, help="JSON config path")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (dotted path, repeatable)")
-        p.add_argument("-o", "--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker threads")
-        p.add_argument("-v", "--verbose", action="store_true")
+    sw = sub.add_parser("sweep")
+    sw.add_argument("-c", "--config", required=True, help="JSON config path")
+    sw.add_argument("--set", action="append", metavar="KEY=VALUE",
+                    help="override a config key (dotted path, repeatable)")
+    sw.add_argument("-v", "--verbose", action="store_true")
     g = sub.add_parser("gradcheck")
     g.add_argument("--draws", type=int, default=100)
     g.add_argument("--eps", type=float, default=1e-5)
@@ -219,8 +195,8 @@ def main(argv=None) -> int:
         if args.command == "gradcheck" and not 0 < args.eps < math.inf:
             raise ConfigError(f"--eps must be a finite number > 0, "
                               f"got {args.eps}")
-        if args.command in SWEEP_COMMANDS:
-            return _run_sweep_command(args.command, args)
+        if args.command == "sweep":
+            return _run_sweep(args)
         if args.command == "gradcheck":
             worst = run_gradcheck(args.draws, args.eps, args.seed)
             status = "pass" if worst < GRADCHECK_LIMIT else "FAIL"

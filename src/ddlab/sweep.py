@@ -465,7 +465,7 @@ RUNNERS = {
 }
 # Biasvar cells run serially whatever ``threads`` says: a width's k splits
 # already train as one stack, and a pool made biasvar_mixture slower and
-# larger (README, under ``--threads``).
+# larger (README, under the ``threads`` key).
 POOLED_KINDS = ("linreg-sample", "mlp-width")
 
 

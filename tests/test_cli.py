@@ -10,18 +10,17 @@ import pytest
 import ddlab
 from ddlab import write_idx
 from ddlab.cli import main, run_gradcheck, run_lift_check
+from ddlab.sweep import parse_config, run_config
 
 SRC_ROOT = str(Path(ddlab.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd=None, env_extra=None):
+def run_cli(args, cwd=None):
     # Put the imported package's source root first on the child's path, so
     # the child runs this same ddlab from any cwd, installed or not.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_ROOT, env.get("PYTHONPATH")) if p)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "ddlab", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
@@ -64,8 +63,8 @@ def tiny_biasvar_config():
 class TestSweepCommands:
     def test_linreg_sweep_runs_and_echoes_config(self, tmp_path):
         cfg = write_config(tmp_path, tiny_linreg_config())
-        proc = run_cli(["linreg-sweep", "-c", str(cfg), "-o",
-                        str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg),
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 0, proc.stderr
         echoed = json.loads(proc.stdout)
         assert echoed["experiment"] == "linreg-sample"
@@ -74,11 +73,11 @@ class TestSweepCommands:
 
     def test_echo_reproduces_the_run(self, tmp_path):
         cfg = write_config(tmp_path, tiny_linreg_config())
-        first = run_cli(["linreg-sweep", "-c", str(cfg), "-o",
-                         str(tmp_path / "a")])
+        first = run_cli(["sweep", "-c", str(cfg),
+                         "--set", f"out_dir={tmp_path / 'a'}"])
         echo = write_config(tmp_path, json.loads(first.stdout), "echo.json")
-        second = run_cli(["linreg-sweep", "-c", str(echo), "-o",
-                          str(tmp_path / "b")])
+        second = run_cli(["sweep", "-c", str(echo),
+                          "--set", f"out_dir={tmp_path / 'b'}"])
         assert second.returncode == 0
         a = (tmp_path / "a" / "tiny.csv").read_bytes()
         b = (tmp_path / "b" / "tiny.csv").read_bytes()
@@ -86,15 +85,15 @@ class TestSweepCommands:
 
     def test_set_override_shows_in_echo(self, tmp_path):
         cfg = write_config(tmp_path, tiny_linreg_config())
-        proc = run_cli(["linreg-sweep", "-c", str(cfg), "--set", "sigma=0.2",
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", "sigma=0.2",
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert json.loads(proc.stdout)["sigma"] == 0.2
 
     def test_unknown_key_exit_code_2(self, tmp_path):
         raw = tiny_linreg_config()
         raw["sgima"] = 0.2
         cfg = write_config(tmp_path, raw)
-        proc = run_cli(["linreg-sweep", "-c", str(cfg)])
+        proc = run_cli(["sweep", "-c", str(cfg)])
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1] == "error: unknown key 'sgima'"
 
@@ -107,8 +106,8 @@ class TestSweepCommands:
                                   id="sigma-past-int-digit-limit")])
     def test_bad_linreg_size_exit_code_2(self, tmp_path, override):
         cfg = write_config(tmp_path, tiny_linreg_config())
-        proc = run_cli(["linreg-sweep", "-c", str(cfg), "--set", override,
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", override,
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -118,33 +117,21 @@ class TestSweepCommands:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(tiny_linreg_config(), sigma=0))
                         .replace('"sigma": 0', '"sigma": 1' + "0" * 5000))
-        proc = run_cli(["linreg-sweep", "-c", str(path),
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(path),
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert one_error_line(proc).startswith(f"error: invalid JSON in {path}")
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
-        proc = run_cli(["linreg-sweep", "-c", str(tmp_path / "none.json")])
+        proc = run_cli(["sweep", "-c", str(tmp_path / "none.json")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
-    def test_subcommand_experiment_mismatch(self, tmp_path):
-        cfg = write_config(tmp_path, tiny_linreg_config())
-        proc = run_cli(["mlp-sweep", "-c", str(cfg)])
-        assert proc.returncode == 2
-        assert "does not match" in proc.stderr
-
-    def test_env_seed_override(self, tmp_path):
-        cfg = write_config(tmp_path, tiny_linreg_config())
-        proc = run_cli(["linreg-sweep", "-c", str(cfg), "-o",
-                        str(tmp_path / "out")], env_extra={"DDLAB_SEED": "41"})
-        assert json.loads(proc.stdout)["seeds"] == [41]
-
-    def test_env_seed_outside_the_stream_range_exit_code_2(self, tmp_path):
+    def test_seed_outside_the_stream_range_exit_code_2(self, tmp_path):
         # Rng reduces seeds mod 2^64, so -1 would run seed 2^64 - 1's streams
         cfg = write_config(tmp_path, tiny_linreg_config())
-        proc = run_cli(["linreg-sweep", "-c", str(cfg), "-o",
-                        str(tmp_path / "out")], env_extra={"DDLAB_SEED": "-1"})
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", "seeds=[-1]",
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert one_error_line(proc) == (
             "error: seeds must be a nonempty list of integers in [0, 2**64), "
             "got [-1]")
@@ -162,8 +149,8 @@ class TestSweepCommands:
                       "optimizer": {"kind": "sgd", "lr": 1e150}},
         }
         cfg = write_config(tmp_path, raw)
-        proc = run_cli(["mlp-sweep", "-c", str(cfg), "-o",
-                        str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg),
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 1
         csv = (tmp_path / "out" / "boom.csv").read_text()
         assert "failed" in csv
@@ -179,8 +166,8 @@ class TestSweepCommands:
                       "optimizer": {"kind": "sgd", "lr": 1e308}},
         }
         cfg = write_config(tmp_path, raw)
-        proc = run_cli(["mlp-sweep", "-c", str(cfg), "-v", "-o",
-                        str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg), "-v",
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 1
         echo = json.loads(proc.stdout)  # stdout holds the echo alone
         assert echo["experiment_id"] == "boom"
@@ -206,12 +193,14 @@ class TestSweepCommands:
         }
 
     @staticmethod
-    def _run_idx(tmp_path, raw, command="mlp-sweep"):
+    def _run_idx(tmp_path, raw):
         cfg = write_config(tmp_path, raw)
-        return run_cli([command, "-c", str(cfg), "-o", str(tmp_path / "out")])
+        return run_cli(["sweep", "-c", str(cfg),
+                        "--set", f"out_dir={tmp_path / 'out'}"])
 
     def _idx_sweep(self, tmp_path, counts, **data):
-        """Run mlp-sweep on zero-pixel IDX files of the given image counts."""
+        """Run an mlp-width sweep on zero-pixel IDX files of the given image
+        counts."""
         return self._run_idx(tmp_path,
                              self._idx_config(tmp_path, counts, **data))
 
@@ -305,7 +294,7 @@ class TestSweepCommands:
         raw = self._idx_config(tmp_path, {"images": 30, "test_images": 10})
         raw.update(experiment="biasvar",
                    splits={"k": k, "split_size": 10})
-        proc = self._run_idx(tmp_path, raw, command="biasvar")
+        proc = self._run_idx(tmp_path, raw)
         if k == 3:  # exactly the file's rows: the sweep runs
             assert proc.returncode == 0, proc.stderr
             return
@@ -316,10 +305,10 @@ class TestSweepCommands:
 
     def test_diverging_biasvar_exits_1_without_traceback(self, tmp_path):
         cfg = write_config(tmp_path, tiny_biasvar_config())
-        proc = run_cli(["biasvar", "-c", str(cfg),
+        proc = run_cli(["sweep", "-c", str(cfg),
                         "--set", "train.optimizer.kind=sgd",
                         "--set", "train.optimizer.lr=1e150",
-                        "-o", str(tmp_path / "out")])
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         # overflow is reported by the non-finite loss check, in training
@@ -334,8 +323,8 @@ class TestSweepCommands:
 
     def test_biasvar_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, tiny_biasvar_config())
-        proc = run_cli(["biasvar", "-c", str(cfg), "-o",
-                        str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg),
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "bv_biasvar.csv").exists()
 
@@ -344,20 +333,22 @@ class TestSweepCommands:
     def test_biasvar_extra_seeds_or_variants_exit_code_2(self, tmp_path,
                                                           override):
         cfg = write_config(tmp_path, tiny_biasvar_config())
-        proc = run_cli(["biasvar", "-c", str(cfg), "--set", override,
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", override,
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command,override", [
+    @pytest.mark.parametrize("kind,override", [
         ("biasvar", "data.n=0"), ("biasvar", "data.test_n=0"),
         ("biasvar", "splits.split_size=1000"),
         ("biasvar", "train.batch_size=0"), ("biasvar", "train.epochs=-1"),
         ("biasvar", "train.optimizer.lr=0"), ("biasvar", "widths=[true]"),
-        ("mlp-sweep", "data.test_n=0"),
+        # the id this case had when mlp-width had its own subcommand
+        pytest.param("mlp-width", "data.test_n=0",
+                     id="mlp-sweep-data.test_n=0"),
         ("biasvar", 'train.optimizer.kind="rmsprop"'),
         ("biasvar",
          'train.optimizer.schedule={"factor":0.1,"every_k_epochs":0}'),
@@ -369,14 +360,14 @@ class TestSweepCommands:
         ("biasvar", "train.optimizer.beta1=1.5"),
         ("biasvar",
          'train.optimizer.schedule={"factor":-1,"every_k_epochs":1}')])
-    def test_bad_network_size_exit_code_2(self, tmp_path, command, override):
+    def test_bad_network_size_exit_code_2(self, tmp_path, kind, override):
         raw = tiny_biasvar_config()
-        if command == "mlp-sweep":
+        if kind == "mlp-width":
             raw["experiment"] = "mlp-width"
             del raw["splits"]
         cfg = write_config(tmp_path, raw)
-        proc = run_cli([command, "-c", str(cfg), "--set", override,
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", override,
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -385,9 +376,10 @@ class TestSweepCommands:
 
     def test_mlp_width_zero_epochs_exit_code_2(self, tmp_path):
         # an mlp-width cell reports its final epoch, so it needs one
-        proc = run_cli(["mlp-sweep", "-c", "desk_mixture.json",
+        proc = run_cli(["sweep", "-c", "desk_mixture.json",
                         "--set", "train.epochs=0", "--set", "widths=[2]",
-                        "-o", str(tmp_path / "out")], cwd=str(tmp_path))
+                        "--set", f"out_dir={tmp_path / 'out'}"],
+                       cwd=str(tmp_path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -401,8 +393,8 @@ class TestSweepCommands:
         raw["experiment"] = "mlp-width"
         del raw["splits"]
         cfg = write_config(tmp_path, raw)
-        proc = run_cli(["mlp-sweep", "-c", str(cfg), "--set", "train.loss=mse",
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", "train.loss=mse",
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -414,8 +406,8 @@ class TestSweepCommands:
         ("seeds=[0,0,1]", "seeds"), ("n_grid=[4,4]", "n_grid")])
     def test_repeated_entries_exit_code_2(self, tmp_path, override, key):
         cfg = write_config(tmp_path, tiny_linreg_config())
-        proc = run_cli(["linreg-sweep", "-c", str(cfg), "--set", override,
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", override,
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -423,23 +415,27 @@ class TestSweepCommands:
             proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command,override,key", [
-        ("mlp-sweep", "sigma=0.1", "sigma"),
-        ("mlp-sweep", 'splits={"k":2,"split_size":30}', "splits"),
-        ("linreg-sweep", "widths=[2]", "widths"),
-        ("linreg-sweep", 'train={"loss":"ce"}', "train")])
-    def test_another_kinds_key_exit_code_2(self, tmp_path, command, override,
+    @pytest.mark.parametrize("kind,override,key", [
+        ("mlp-width", "sigma=0.1", "sigma"),
+        ("mlp-width", 'splits={"k":2,"split_size":30}', "splits"),
+        ("linreg-sample", "widths=[2]", "widths"),
+        ("linreg-sample", 'train={"loss":"ce"}', "train")],
+        # the ids these cases had when every kind had its own subcommand
+        ids=['mlp-sweep-sigma=0.1-sigma',
+             'mlp-sweep-splits={"k":2,"split_size":30}-splits',
+             "linreg-sweep-widths=[2]-widths",
+             'linreg-sweep-train={"loss":"ce"}-train'])
+    def test_another_kinds_key_exit_code_2(self, tmp_path, kind, override,
                                            key):
         # a key the run never reads would show in the echo as if it did
-        if command == "linreg-sweep":
+        if kind == "linreg-sample":
             raw = tiny_linreg_config()
         else:
             raw = dict(tiny_biasvar_config(), experiment="mlp-width")
             del raw["splits"]
         cfg = write_config(tmp_path, raw)
-        proc = run_cli([command, "-c", str(cfg), "--set", override,
-                        "-o", str(tmp_path / "out")])
-        kind = raw["experiment"]
+        proc = run_cli(["sweep", "-c", str(cfg), "--set", override,
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert one_error_line(proc) == f"error: {kind} takes no '{key}'"
         assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
@@ -451,19 +447,19 @@ class TestSweepCommands:
         # the id is the output file stem and every CSV row's first cell
         raw = dict(tiny_linreg_config(), experiment_id=experiment_id)
         cfg = write_config(tmp_path, raw)
-        proc = run_cli(["linreg-sweep", "-c", str(cfg),
-                        "-o", str(tmp_path / "out")])
+        proc = run_cli(["sweep", "-c", str(cfg),
+                        "--set", f"out_dir={tmp_path / 'out'}"])
         assert one_error_line(proc).startswith("error: experiment_id ")
         assert proc.stdout == ""
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_epochwise_is_no_experiment(self, tmp_path):
-        # epoch curves are an mlp-sweep's _traces.csv
+        # epoch curves are an mlp-width sweep's _traces.csv
         raw = tiny_biasvar_config()
         raw["experiment"] = "epochwise"
         del raw["splits"]
         cfg = write_config(tmp_path, raw)
-        proc = run_cli(["mlp-sweep", "-c", str(cfg)])
+        proc = run_cli(["sweep", "-c", str(cfg)])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
@@ -475,9 +471,10 @@ class TestSweepCommands:
     def test_oversize_concat_grid_exit_code_2(self, tmp_path):
         # the concat pair design at n = 4000, d = 30 needs 7.8 GB: the
         # config is refused before any cell runs, standard cells included
-        proc = run_cli(["linreg-sweep", "-c", "fig1.json",
+        proc = run_cli(["sweep", "-c", "fig1.json",
                         "--set", "n_grid=[4000]", "--set", "seeds=[0]",
-                        "--set", "n_test=10", "-o", str(tmp_path / "out")],
+                        "--set", "n_test=10",
+                        "--set", f"out_dir={tmp_path / 'out'}"],
                        cwd=str(tmp_path))
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -488,13 +485,56 @@ class TestSweepCommands:
 
     def test_bundled_preset_by_name(self, tmp_path):
         # fig1 preset resolves from package data; shrink it so it runs fast
-        proc = run_cli(["linreg-sweep", "-c", "fig1.json",
+        proc = run_cli(["sweep", "-c", "fig1.json",
                         "--set", "n_grid=[2,4]", "--set", "seeds=[0]",
                         "--set", "n_test=10",
                         "--set", 'variants=["standard"]',
-                        "-o", str(tmp_path / "out")], cwd=str(tmp_path))
+                        "--set", f"out_dir={tmp_path / 'out'}"],
+                       cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "fig1.csv").exists()
+
+    @pytest.mark.parametrize("preset,overrides", [
+        ("fig1.json", ["n_grid=[2,4]", "seeds=[0]", "n_test=10"]),
+        ("desk_mixture.json", ["widths=[2,3]", "seeds=[0]", "train.epochs=2",
+                               "data.n=40", "data.test_n=20"]),
+        ("biasvar_mixture.json", ["widths=[2]", "train.epochs=2", "data.n=60",
+                                  "data.test_n=20",
+                                  'splits={"k":2,"split_size":30}'])])
+    def test_sweep_writes_the_bytes_of_run_config(self, tmp_path, preset,
+                                                   overrides):
+        # --set items apply in order and the last one for a key wins
+        sets = [*overrides, "threads=4", "threads=2",
+                f"out_dir={tmp_path / 'cli'}"]
+        proc = run_cli(["sweep", "-c", preset,
+                        *(arg for item in sets for arg in ("--set", item))],
+                       cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        echo = json.loads(proc.stdout)
+        assert echo["threads"] == 2
+        run_config(parse_config(echo), tmp_path / "lib")
+        written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "lib").iterdir())
+        for name in written:
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "lib" / name).read_bytes()), name
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args,message", [
+        (["sweep"], "error: the following arguments are required: "
+                    "-c/--config"),
+        (["linreg-sweep", "-c", "fig1.json"],
+         "error: argument command: invalid choice: 'linreg-sweep'"),
+        (["sweep", "-c", "fig1.json", "--threads", "2"],
+         "error: unrecognized arguments: --threads 2"),
+        (["gradcheck", "--draws", "x"],
+         "error: argument --draws: invalid int value: 'x'")])
+    def test_usage_error_is_one_line(self, tmp_path, args, message):
+        proc = run_cli(args, cwd=str(tmp_path))
+        assert one_error_line(proc).startswith(message)
+        assert proc.stdout == ""
+        assert not any(tmp_path.iterdir())
 
 
 class TestChecks:
@@ -558,6 +598,6 @@ class TestIdxInspect:
 class TestMainInProcess:
     def test_main_returns_int(self, tmp_path):
         cfg = write_config(tmp_path, tiny_linreg_config())
-        code = main(["linreg-sweep", "-c", str(cfg), "-o",
-                     str(tmp_path / "out")])
+        code = main(["sweep", "-c", str(cfg),
+                     "--set", f"out_dir={tmp_path / 'out'}"])
         assert code == 0
