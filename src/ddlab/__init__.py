@@ -16,7 +16,7 @@ from .idx import (IdxCountMismatchError, IdxFormatError, IdxMagicError,
                   IdxTruncatedError, inspect_idx, load_idx, write_idx)
 from .linreg import (LinearModel, design_rank, linreg_sample_sweep, mse,
                      pinv_solve)
-from .nnet import (MlpModel, OptimizerConfig, ScheduleConfig, TrainConfig,
+from .nnet import (MlpModel, OptimizerConfig, TrainConfig,
                    TrainingDivergedError, classify_error, forward, grad_check,
                    init_mlp, lift_model, loss_and_grad, opt_step, train)
 from .records import CurvePoint

@@ -319,17 +319,6 @@ def _require_counts(section, lows) -> None:
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    factor: float
-    every_k_epochs: int
-
-    def __post_init__(self):
-        _require(_finite(self.factor) and self.factor > 0,
-                 "factor", "a finite number > 0", self.factor)
-        _require_counts(self, [("every_k_epochs", 1)])
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "adam"  # one of OPTIMIZER_KINDS
     lr: float = 0.001
@@ -338,10 +327,8 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    schedule: ScheduleConfig | None = None
 
     def __post_init__(self):
-        _require_structure(self)
         _require(self.kind in OPTIMIZER_KINDS, "kind",
                  f"one of {', '.join(OPTIMIZER_KINDS)}", self.kind)
         _require(_finite(self.lr) and self.lr > 0, "lr",
@@ -355,18 +342,10 @@ class OptimizerConfig:
         _require(_finite(self.weight_decay) and self.weight_decay >= 0,
                  "weight_decay", "a finite number >= 0", self.weight_decay)
 
-    def lr_at(self, epoch: int) -> float:
-        """Step decay: lr * factor^floor((epoch - 1) / every_k), epoch >= 1."""
-        if self.schedule is None:
-            return self.lr
-        steps = (epoch - 1) // self.schedule.every_k_epochs
-        return self.lr * self.schedule.factor ** steps
-
 
 @dataclass
 class OptimState:
     config: OptimizerConfig
-    lr: float
     step: int = 0
     slot_a: MlpGrads | None = None  # momentum velocity / Adam first moment
     slot_b: MlpGrads | None = None  # Adam second moment
@@ -377,7 +356,7 @@ def make_optim_state(config: OptimizerConfig, model: MlpModel) -> OptimState:
     def zeros():
         return MlpGrads._from_theta(np.zeros_like(model.theta), model.shapes)
 
-    state = OptimState(config, lr=config.lr)
+    state = OptimState(config)
     if config.kind in ("momentum", "adam"):
         state.slot_a = zeros()
     if config.kind == "adam":
@@ -402,7 +381,7 @@ def opt_step(model: MlpModel, grads: MlpGrads, state: OptimState):
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter shape {p.shape}")
     state.step += 1
-    lr = state.lr
+    lr = cfg.lr
     theta, g = model.theta, grads.theta
     if cfg.weight_decay:
         theta *= 1.0 - lr * cfg.weight_decay
@@ -577,7 +556,6 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
     records = [[] for _ in sources]
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        state.lr = config.optimizer.lr_at(epoch)
         total_loss = 0.0
         test_loss = test_error = None
         # overflow in a diverging run, in its steps or its evaluation, is

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import (ConcatView, OptimizerConfig, Rng, ScheduleConfig,
-                   TrainConfig, TrainingDivergedError, build_concat_test,
+from ddlab import (ConcatView, OptimizerConfig, Rng, TrainConfig,
+                   TrainingDivergedError, build_concat_test,
                    classify_error, forward, gen_mixture_classification,
                    grad_check, init_mlp, lift_model, loss_and_grad, one_hot,
                    opt_step, pinv_solve, sample_pairs, split_k, train)
@@ -618,18 +618,6 @@ class TestConfigRanges:
     def test_optimizer_accepts_range_ends(self, key, value):
         assert getattr(OptimizerConfig(**{key: value}), key) == value
 
-    @pytest.mark.parametrize("factor,every,key", [
-        (0.0, 1, "factor"), (-1.0, 1, "factor"), (math.inf, 1, "factor"),
-        (math.nan, 1, "factor"), (0.1, 0, "every_k_epochs"),
-        (0.1, -2, "every_k_epochs"), (0.5, True, "every_k_epochs"),
-        (0.5, 2.0, "every_k_epochs"), (True, 1, "factor")])
-    def test_schedule_rejects(self, factor, every, key):
-        with pytest.raises(ValueError, match=f"^{key} must be"):
-            ScheduleConfig(factor, every)
-
-    def test_schedule_accepts_growth(self):
-        assert ScheduleConfig(2.0, 1).factor == 2.0
-
     @pytest.mark.parametrize("key,value", [
         ("loss", "hinge"), ("epochs", -1), ("batch_size", 0),
         ("e_mult", 0), ("batch_size", True), ("epochs", 2.5),
@@ -696,14 +684,6 @@ class TestOptimizers:
         state = make_optim_state(OptimizerConfig("sgd"), model)
         with pytest.raises(ValueError):
             opt_step(model, bad, state)
-
-    def test_lr_schedule_step_decay(self):
-        cfg = OptimizerConfig("sgd", lr=0.1,
-                              schedule=ScheduleConfig(0.1, 200))
-        assert cfg.lr_at(1) == pytest.approx(0.1)
-        assert cfg.lr_at(200) == pytest.approx(0.1)
-        assert cfg.lr_at(201) == pytest.approx(0.01)
-        assert cfg.lr_at(401) == pytest.approx(0.001)
 
 
 class TestTrain:

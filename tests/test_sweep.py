@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import (ConfigError, CurvePoint, OptimizerConfig, ScheduleConfig,
-                   SweepConfig, TrainConfig, load_idx, parse_config,
-                   run_config, summarize, sweep, write_idx)
+from ddlab import (ConfigError, CurvePoint, OptimizerConfig, SweepConfig,
+                   TrainConfig, load_idx, parse_config, run_config, summarize,
+                   sweep, write_idx)
 from ddlab.biasvar import CSV_HEADER as BIASVAR_CSV_HEADER
 from ddlab.records import CSV_HEADER
 from ddlab.sweep import (DataSection, SplitsSection, build_base_data,
@@ -130,10 +130,16 @@ class TestConfigParsing:
             parse_config(mixture_config(sgima=0.2))
 
     def test_unknown_nested_key(self):
-        raw = mixture_config()
-        raw["train"]["epoch"] = 3
-        with pytest.raises(ConfigError, match="unknown key 'train.epoch'"):
-            parse_config(raw)
+        # a section the schema has no place for reads like a misspelt key
+        misspelt, section = mixture_config(), mixture_config()
+        misspelt["train"]["epoch"] = 3
+        section["train"]["optimizer"]["schedule"] = {"factor": 0.5,
+                                                     "every_k_epochs": 1}
+        for raw, key in [(misspelt, "train.epoch"),
+                         (section, "train.optimizer.schedule")]:
+            with pytest.raises(ConfigError) as info:
+                parse_config(raw)
+            assert str(info.value) == f"unknown key '{key}'"
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="seeds"):
@@ -216,10 +222,7 @@ class TestConfigParsing:
         ("train.epochs", 2.5, "train.epochs must be an integer >= 0, got 2.5"),
         ("train.epochs", -1, "train.epochs must be an integer >= 0, got -1"),
         ("train.optimizer.lr", True,
-         "train.optimizer.lr must be a finite number > 0, got True"),
-        ("train.optimizer.schedule", {"factor": 0.5, "every_k_epochs": True},
-         "train.optimizer.schedule.every_k_epochs must be an integer >= 1, "
-         "got True")])
+         "train.optimizer.lr must be a finite number > 0, got True")])
     def test_train_section_messages(self, path, value, message):
         # one rule per field checks its type and range together
         raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
@@ -235,10 +238,8 @@ class TestConfigParsing:
         ("train.optimizer.kind", "rmsprop", None),
         ("train.optimizer.beta2", 1.0, None),
         ("train.optimizer.weight_decay", -5.0, None),
-        ("train.optimizer.schedule", {"factor": -1.0, "every_k_epochs": 1},
-         "train.optimizer.schedule.factor"),
-        ("train.optimizer.schedule", {"factor": 0.1, "every_k_epochs": 0},
-         "train.optimizer.schedule.every_k_epochs"),
+        ("train.optimizer.momentum", -1.0, None),
+        ("train.optimizer.beta1", 1.5, None),
         ("train.loss", "hinge", None), ("data.classes", 121, None),
         ("data.noise_fraction", 1.5, None),
         ("train.optimizer.eps", float("inf"), None),
@@ -324,7 +325,6 @@ class TestConfigParsing:
         assert (train.loss, train.epochs, train.batch_size, train.e_mult) \
             == ("ce", 100, 32, 1)
         assert (train.optimizer.kind, train.optimizer.lr) == ("adam", 0.001)
-        assert train.optimizer.schedule is None
 
     @pytest.mark.parametrize("kind,key,value", [
         ("mlp-width", "sigma", 0.1), ("mlp-width", "n_grid", [2]),
@@ -411,12 +411,22 @@ class TestConfigParsing:
 # -- one type rule per config field ---------------------------------------------
 #
 # Parsing only recurses into sections; every field is its section's to
-# check, type first.  The fields are read off the dataclasses, so a field
-# added without a type rule fails here.
+# check, type first.  The sections and their fields are read off the
+# dataclasses, so a field or section added without a type rule fails here.
 
-SECTION_PATHS = {SweepConfig: "", DataSection: "data", SplitsSection: "splits",
-                 TrainConfig: "train", OptimizerConfig: "train.optimizer",
-                 ScheduleConfig: "train.optimizer.schedule"}
+
+def section_paths(cls=SweepConfig, path=""):
+    """Each config section class -> its dotted path in a config file,
+    found by walking the nested dataclass annotations from ``cls``."""
+    paths = {cls: path}
+    for key, hint in typing.get_type_hints(cls).items():
+        kind = (typing.get_args(hint) or (hint,))[0]
+        if dataclasses.is_dataclass(kind):
+            paths.update(section_paths(kind, f"{path}.{key}".lstrip(".")))
+    return paths
+
+
+SECTION_PATHS = section_paths()
 # each scalar annotation -> the probe types it accepts
 SCALAR_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 TYPE_PROBES = (True, "x", 1, 1.5, None, [1], {})
@@ -445,9 +455,6 @@ class TestScalarTypeRules:
                                       "biasvar_mixture"])
     def test_parsed_wrong_type_names_its_dotted_key(self, name):
         base = preset(name)
-        if "train" in base:
-            base["train"]["optimizer"]["schedule"] = {"factor": 0.5,
-                                                      "every_k_epochs": 1}
         wrong = []
         for cls, path in SECTION_PATHS.items():
             keys = path.split(".") if path else []
@@ -475,8 +482,8 @@ class TestScalarTypeRules:
         cfg = parse_config(preset("biasvar_mixture"))
         valid = {SweepConfig: parse_config(preset("fig1")),
                  DataSection: cfg.data, SplitsSection: cfg.splits,
-                 TrainConfig: cfg.train, OptimizerConfig: cfg.train.optimizer,
-                 ScheduleConfig: ScheduleConfig(0.5, 1)}[cls]
+                 TrainConfig: cfg.train,
+                 OptimizerConfig: cfg.train.optimizer}[cls]
         wrong = []
         for key, values in wrong_typed_fields(cls):
             for value in values:
@@ -518,15 +525,12 @@ def _ints(low, high=50):
 
 def _optimizer_section():
     fraction = _finite(0.0, 1.0, exclude_max=True)
-    schedule = st.fixed_dictionaries({
-        "factor": _finite(0.0, 10.0, exclude_min=True),
-        "every_k_epochs": _ints(1)})
     return st.fixed_dictionaries({}, optional={
         "kind": st.sampled_from(["sgd", "momentum", "adam"]),
         "lr": _finite(0.0, 10.0, exclude_min=True),
         "momentum": fraction, "beta1": fraction, "beta2": fraction,
         "eps": _finite(0.0, 1.0, exclude_min=True),
-        "weight_decay": _finite(0.0, 1.0), "schedule": schedule})
+        "weight_decay": _finite(0.0, 1.0)})
 
 
 def _train_section(losses, min_epochs=0):
