@@ -1,11 +1,10 @@
 """The concatenated-inputs construction.
 
 From a base dataset of n rows, the training view holds all n*n ordered
-pairs: element (i, j) has features [x_i || x_j] and a target combined in
-the base's mode.  Regression targets and averaged-mode classification
-targets are the arithmetic mean (y_i + y_j) / 2; multi-hot mode takes the
-element-wise maximum, so a pair of {0, 1} rows stays a {0, 1} row.  Test
-sets concatenate each input with itself and keep the original target.
+pairs: element (i, j) has features [x_i || x_j] and the target
+(y_i + y_j) / 2, the arithmetic mean of its rows' targets, regression and
+classification alike.  Test sets concatenate each input with itself and
+keep the original target.
 
 The view is virtual: pair (i, j) has the row-major flat index i * n + j,
 ``sample_pairs`` draws flat indices and ``ConcatView.batch`` gathers the
@@ -17,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import (MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset,
-                      RegressionDataset)
+from .datagen import ClassificationDataset, RegressionDataset
 from .rng import Rng
 
 # a sample-sweep grid (n <= a few hundred) has pair designs of megabytes;
@@ -30,17 +28,9 @@ class MemoryBudgetError(ValueError):
     """Materialization would exceed ``MATERIALIZE_BUDGET``."""
 
 
-def _combine_targets(t1, t2, mode):
-    if mode == MODE_AVERAGED:
-        return (t1 + t2) / 2.0
-    if mode == MODE_MULTI_HOT:
-        return np.maximum(t1, t2)
-    raise ValueError(f"unknown target mode {mode!r}")
-
-
 class ConcatView:
     """Constant-memory view over all n*n ordered pairs of a base dataset,
-    pairing targets in the base's mode (averaged for regression)."""
+    with averaged targets."""
 
     def __init__(self, base):
         if base.n < 1:
@@ -48,7 +38,6 @@ class ConcatView:
         if not isinstance(base, (RegressionDataset, ClassificationDataset)):
             raise TypeError(f"unsupported base dataset {type(base).__name__}")
         self.base = base
-        self.mode = getattr(base, "mode", MODE_AVERAGED)
 
     @property
     def n(self) -> int:
@@ -67,8 +56,7 @@ class ConcatView:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair ({i}, {j}) out of range for n={n}")
         features = np.concatenate([self.base.features[i], self.base.features[j]])
-        target = _combine_targets(self.base.targets[i], self.base.targets[j],
-                                  self.mode)
+        target = (self.base.targets[i] + self.base.targets[j]) / 2.0
         return features, target
 
     def batch(self, flat):
@@ -77,8 +65,7 @@ class ConcatView:
         i_idx, j_idx = np.divmod(np.asarray(flat, dtype=np.int64), self.base.n)
         features = np.hstack([self.base.features[i_idx],
                               self.base.features[j_idx]])
-        targets = _combine_targets(self.base.targets[i_idx],
-                                   self.base.targets[j_idx], self.mode)
+        targets = (self.base.targets[i_idx] + self.base.targets[j_idx]) / 2.0
         return features, targets
 
 
@@ -89,7 +76,7 @@ def build_concat_test(base):
     features = np.hstack([base.features, base.features])
     if isinstance(base, RegressionDataset):
         return RegressionDataset(features, base.targets.copy())
-    return ClassificationDataset(features, base.targets.copy(), base.mode)
+    return ClassificationDataset(features, base.targets.copy())
 
 
 VARIANT_STANDARD = "standard"
@@ -157,8 +144,8 @@ def materialize(view: ConcatView):
     features[:, :, d:] = base.features[None, :, :]
     features = features.reshape(n * n, 2 * d)
     t = base.targets
-    targets = _combine_targets(t[:, None], t[None, :], view.mode)
+    targets = (t[:, None] + t[None, :]) / 2.0
     targets = targets.reshape(n * n, *t.shape[1:])
     if isinstance(base, RegressionDataset):
         return RegressionDataset(features, targets)
-    return ClassificationDataset(features, targets, view.mode)
+    return ClassificationDataset(features, targets)

@@ -92,7 +92,7 @@ CSV_HEADER = ",".join(f.name for f in fields(BiasVarianceRow))
 def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
                            split_size: int, test_set: ClassificationDataset,
                            train_config, base_seed: int,
-                           train_fn=None, config_id: str = "biasvar"):
+                           config_id: str = "biasvar"):
     """Split-based empirical decomposition: a list of ``BiasVarianceRow``s,
     one per width, in ``widths`` order; ``CSV_HEADER`` heads their rows.
 
@@ -103,34 +103,21 @@ def estimate_bias_variance(widths, train_set: ClassificationDataset, k: int,
     test-set means reported, together with the subtraction-form bias
     (risk - variance) and the identity residual |risk - bias - variance|.
 
-    ``train_fn(width, splits, seeds) -> list[MlpModel]`` returns one fitted
-    model per split and may be injected.  The default trains the k
-    one-hidden-layer networks of a width as one stack, in a single
-    ``nnet.train`` call with ``train_config`` and the k seeds; split j's
-    model is bit-identical to one trained on its own.  The k test-set
+    The k one-hidden-layer networks of a width train as one stack, in a
+    single ``nnet.train`` call with ``train_config`` and the k seeds; split
+    j's model is bit-identical to one trained on its own.  The k test-set
     softmaxes of a width come from k single-model forward passes.
     """
     if not test_set.is_one_hot:
         raise ValueError("the decomposition needs a one-hot test set")
-    if train_fn is None:
-        if train_config.loss != nnet.LOSS_CE:
-            raise ValueError("categorical predictions require the ce loss")
-
-        def train_fn(width, splits, seeds):
-            models = [nnet.init_mlp(split.dim, width, split.class_count,
-                                    Rng(mix_seed(seed, 1)))
-                      for split, seed in zip(splits, seeds)]
-            fitted, _ = nnet.train(models, splits, train_config, seeds)
-            return fitted
-
     splits = split_k(train_set, k, split_size, Rng(mix_seed(base_seed, 0)))
     seeds = [mix_seed(base_seed, j + 1) for j in range(k)]
     rows = []
     for width in widths:
-        models = train_fn(width, splits, seeds)
-        if len(models) != k:
-            raise ValueError(f"train_fn returned {len(models)} models "
-                             f"for {k} splits")
+        models = [nnet.init_mlp(split.dim, width, split.class_count,
+                                Rng(mix_seed(seed, 1)))
+                  for split, seed in zip(splits, seeds)]
+        models, _ = nnet.train(models, splits, train_config, seeds)
         # one forward per model, not one over the stack: the stack's
         # (k, rows, width) hidden array would raise the peak for no speed
         logits = np.stack([nnet.forward(model, test_set.features)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .idx import IdxFormatError, inspect_idx
-from .nnet import LOSS_KINDS, forward, grad_check, init_mlp, lift_model
+from .nnet import forward, grad_check, init_mlp, lift_model
 from .rng import Rng
 from .sweep import ConfigError, config_to_dict, parse_config, run_config
 
@@ -109,13 +109,6 @@ def _random_model_and_batch(rng: Rng):
     return model, X, c
 
 
-def _gradcheck_targets(rng: Rng, kind: str, batch: int, c: int):
-    if kind == "ce":
-        raw = rng.random((batch, c)) + 1e-3
-        return raw / raw.sum(axis=1, keepdims=True)
-    return (rng.random((batch, c)) < 0.5).astype(float)
-
-
 def _near_kink(model, X, eps: float) -> bool:
     """True if a hidden pre-activation lies within 2*eps*max(1, max|x|) of
     the ReLU kink, which a +-eps step on a W1 or b1 entry may cross."""
@@ -133,9 +126,9 @@ def run_gradcheck(draws: int, eps: float, seed: int):
         model, X, c = _random_model_and_batch(rng)
         if _near_kink(model, X, eps):
             continue
-        kind = LOSS_KINDS[done % len(LOSS_KINDS)]
-        T = _gradcheck_targets(rng, kind, X.shape[0], c)
-        worst = max(worst, grad_check(model, X, T, kind, eps))
+        raw = rng.random((X.shape[0], c)) + 1e-3  # soft targets, rows sum to 1
+        T = raw / raw.sum(axis=1, keepdims=True)
+        worst = max(worst, grad_check(model, X, T, eps))
         done += 1
     return worst
 

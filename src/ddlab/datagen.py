@@ -2,13 +2,8 @@
 
 Two dataset flavors exist: dense regression data (features plus scalar
 targets) and classification data whose targets are rows of class
-probabilities.  Classification targets carry an explicit mode:
-
-* ``"averaged"``  - every target row sums to 1 (cross-entropy training),
-* ``"multi_hot"`` - every entry is exactly 0 or 1 (binary cross entropy).
-
-One-hot rows satisfy both conditions; the mode records which contract the
-rest of the pipeline may rely on.
+probabilities, each summing to 1: one-hot rows, or the averaged rows of
+concatenated pairs.
 
 Draw orders (cross-implementation contract):
 
@@ -27,10 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng
-
-MODE_AVERAGED = "averaged"
-MODE_MULTI_HOT = "multi_hot"
-
 
 @dataclass(frozen=True)
 class RegressionDataset:
@@ -59,7 +50,6 @@ class RegressionDataset:
 class ClassificationDataset:
     features: np.ndarray
     targets: np.ndarray
-    mode: str = MODE_AVERAGED
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.targets.ndim != 2:
@@ -68,15 +58,9 @@ class ClassificationDataset:
             raise ValueError("feature and target row counts differ")
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite entries")
-        if self.mode == MODE_AVERAGED:
-            sums = self.targets.sum(axis=1)
-            if not np.all(np.abs(sums - 1.0) <= 1e-9):
-                raise ValueError("averaged-mode target rows must sum to 1")
-        elif self.mode == MODE_MULTI_HOT:
-            if not np.all((self.targets == 0.0) | (self.targets == 1.0)):
-                raise ValueError("multi-hot targets must be exactly 0 or 1")
-        else:
-            raise ValueError(f"unknown target mode {self.mode!r}")
+        sums = self.targets.sum(axis=1)
+        if not np.all(np.abs(sums - 1.0) <= 1e-9):
+            raise ValueError("target rows must sum to 1")
 
     @property
     def n(self) -> int:
@@ -97,12 +81,7 @@ class ClassificationDataset:
 
     def take(self, indices) -> "ClassificationDataset":
         return ClassificationDataset(self.features[indices],
-                                     self.targets[indices], self.mode)
-
-    def with_mode(self, mode: str) -> "ClassificationDataset":
-        """Re-declare the target mode (targets must satisfy its invariant)."""
-        return self if mode == self.mode else ClassificationDataset(
-            self.features, self.targets, mode)
+                                     self.targets[indices])
 
 
 def one_hot(labels, class_count: int) -> np.ndarray:
@@ -163,7 +142,7 @@ def gen_mixture_classification(n: int, d: int, c: int, separation: float,
     means = means / norms * separation
     labels = np.arange(n, dtype=np.int64) % c
     features = rng.standard_normal((n, d)) + means[labels]
-    return ClassificationDataset(features, one_hot(labels, c), MODE_AVERAGED)
+    return ClassificationDataset(features, one_hot(labels, c))
 
 
 def apply_label_noise(ds: ClassificationDataset, fraction: float,
@@ -193,7 +172,7 @@ def apply_label_noise(ds: ClassificationDataset, fraction: float,
         new_cls = draw + (draw >= orig)
         targets[rows] = 0.0
         targets[rows, new_cls] = 1.0
-    return ClassificationDataset(ds.features.copy(), targets, ds.mode)
+    return ClassificationDataset(ds.features.copy(), targets)
 
 
 def split_k(ds: ClassificationDataset, k: int, split_size: int,

@@ -1,11 +1,9 @@
 """One-hidden-layer ReLU network with hand-written gradients.
 
-Logits are ``W2 @ relu(W1 @ x + b1) + b2``.  Two losses are supported:
-
-* ``"ce"``   - softmax cross entropy with soft targets, computed through
-  the log-sum-exp shift;
-* ``"bce"``  - per-logit sigmoid binary cross entropy in the numerically
-  stable max(z,0) - z*t + log1p(exp(-|z|)) form.
+Logits are ``W2 @ relu(W1 @ x + b1) + b2``.  The one loss is softmax
+cross entropy with soft targets (rows summing to 1), computed through the
+log-sum-exp shift, and the one optimizer is Adam with decoupled weight
+decay.
 
 Gradients are exact derivatives of the batch-mean loss; relu'(0) is taken
 as 0.  There is one training loop, over a stack: a single model trains
@@ -20,7 +18,7 @@ every step, so a step allocates no new parameter-sized array.
 Parameters live in one contiguous float64 vector ``theta`` laid out as
 W1 (h x d_in, row-major), b1 (h), W2 (c x h, row-major), b2 (c).
 ``MlpModel.W1`` .. ``b2`` are reshaped views into it, and ``MlpGrads``
-and the optimizer slots use the same layout, so ``copy()`` is one copy
+and Adam's moments use the same layout, so ``copy()`` is one copy
 and an optimizer step is a handful of whole-vector ufunc calls instead of
 a loop over four arrays.
 
@@ -51,14 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import ConcatView, sample_pairs
-from .datagen import MODE_AVERAGED, MODE_MULTI_HOT, ClassificationDataset
+from .datagen import ClassificationDataset
 from .rng import Rng
-
-LOSS_CE = "ce"
-LOSS_BCE = "bce"
-# each loss (classification data only) and the target mode train needs for it
-TRAIN_LOSS_MODES = {LOSS_CE: MODE_AVERAGED, LOSS_BCE: MODE_MULTI_HOT}
-LOSS_KINDS = tuple(TRAIN_LOSS_MODES)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -205,16 +197,15 @@ def _total(values: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
+def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray,
                   out: MlpGrads | None = None):
-    """Batch-mean loss and its gradient with respect to every parameter.
+    """Batch-mean cross entropy and its gradient with respect to every
+    parameter.  Each target row must sum to 1.
 
     For a stack the loss is an (S,) array and the gradient a stack.  The
     gradient goes into a new ``MlpGrads``, or into ``out`` (which is
     returned) when given; ``out`` must have the model's layout.
     """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     T = np.atleast_2d(np.asarray(T, dtype=np.float64))
     if X.shape[-2] != T.shape[-2]:
@@ -225,8 +216,6 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
     if out is not None and out.theta.shape != model.theta.shape:
         raise ValueError(f"gradient buffer shape {out.theta.shape} does not "
                          f"match the model's {model.theta.shape}")
-    if kind == LOSS_BCE and (T.min() < 0.0 or T.max() > 1.0):
-        raise ValueError("binary cross-entropy targets must lie in [0, 1]")
 
     batch = X.shape[-2]
     # relu in place: relu'(z) = [z > 0] = [relu(z) > 0], NaN included
@@ -234,26 +223,19 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
     np.maximum(H, 0.0, out=H)
     Z2 = _affine(H, model.W2, model.b2)
 
-    if kind == LOSS_CE:
-        # the one row sum both checks the targets and scales the softmax;
-        # NaN fails the comparison, so it is rejected too
-        row_mass = T.sum(axis=-1, keepdims=True)
-        if not (np.abs(row_mass - 1.0) <= 1e-6).all():
-            raise ValueError("cross-entropy targets must sum to 1 per row")
-        logp = _log_softmax(Z2)
-        loss = -_total(T * logp) / batch
-        dZ2 = np.exp(logp)
-        dZ2 *= row_mass
-        dZ2 -= T
-        dZ2 /= batch
-    else:  # LOSS_BCE
-        per = np.maximum(Z2, 0.0) - Z2 * T + np.log1p(np.exp(-np.abs(Z2)))
-        loss = _total(per) / batch
-        sig = 1.0 / (1.0 + np.exp(-Z2))
-        dZ2 = (sig - T) / batch
-
+    # the one row sum both checks the targets and scales the softmax;
+    # NaN fails the comparison, so it is rejected too
+    row_mass = T.sum(axis=-1, keepdims=True)
+    if not (np.abs(row_mass - 1.0) <= 1e-6).all():
+        raise ValueError("cross-entropy targets must sum to 1 per row")
+    logp = _log_softmax(Z2)
+    loss = -_total(T * logp) / batch
+    dZ2 = np.exp(logp)
+    dZ2 *= row_mass
+    dZ2 -= T
+    dZ2 /= batch
     if not np.isfinite(loss).all():
-        raise FloatingPointError(f"non-finite {kind} loss")
+        raise FloatingPointError("non-finite loss")
 
     grads = out if out is not None else MlpGrads._from_theta(
         np.empty(model.theta.shape), model.shapes)
@@ -269,10 +251,7 @@ def loss_and_grad(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
     return loss, grads
 
 
-# -- optimizers --------------------------------------------------------------
-
-
-OPTIMIZER_KINDS = ("sgd", "momentum", "adam")
+# -- optimizer ----------------------------------------------------------------
 
 
 def _require(ok: bool, key: str, rule: str, value) -> None:
@@ -320,20 +299,18 @@ def _require_counts(section, lows) -> None:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"  # one of OPTIMIZER_KINDS
+    """Adam's settings."""
+
     lr: float = 0.001
-    momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        _require(self.kind in OPTIMIZER_KINDS, "kind",
-                 f"one of {', '.join(OPTIMIZER_KINDS)}", self.kind)
         _require(_finite(self.lr) and self.lr > 0, "lr",
                  "a finite number > 0", self.lr)
-        for key in ("momentum", "beta1", "beta2"):
+        for key in ("beta1", "beta2"):
             value = getattr(self, key)
             _require(_number(value) and 0.0 <= value < 1.0, key, "in [0, 1)",
                      value)
@@ -346,34 +323,27 @@ class OptimizerConfig:
 @dataclass
 class OptimState:
     config: OptimizerConfig
+    m: np.ndarray  # first moment, shaped like the model's theta
+    v: np.ndarray  # second moment
+    scratch: tuple  # two work vectors, reused every step
     step: int = 0
-    slot_a: MlpGrads | None = None  # momentum velocity / Adam first moment
-    slot_b: MlpGrads | None = None  # Adam second moment
-    scratch: tuple = ()  # Adam's two work vectors, reused every step
 
 
 def make_optim_state(config: OptimizerConfig, model: MlpModel) -> OptimState:
-    def zeros():
-        return MlpGrads._from_theta(np.zeros_like(model.theta), model.shapes)
-
-    state = OptimState(config)
-    if config.kind in ("momentum", "adam"):
-        state.slot_a = zeros()
-    if config.kind == "adam":
-        state.slot_b = zeros()
-        state.scratch = (np.empty_like(model.theta),
-                         np.empty_like(model.theta))
-    return state
+    theta = model.theta
+    return OptimState(config, np.zeros_like(theta), np.zeros_like(theta),
+                      (np.empty_like(theta), np.empty_like(theta)))
 
 
 def opt_step(model: MlpModel, grads: MlpGrads, state: OptimState):
-    """In-place parameter update; returns the mutated (model, state).
+    """In-place Adam update; returns the mutated (model, state).
 
-    Weight decay is decoupled and applied as theta *= (1 - lr * wd) before
-    the gradient step.  The update runs once over the whole parameter
-    vector, or stack of vectors; every element sees the same operations in
-    the same order as a per-array update would, so results are
-    bit-identical to it.
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), with c1 = 1 - beta1**t and
+    c2 = 1 - beta2**t.  Weight decay is decoupled and applied as
+    theta *= (1 - lr * wd) before the gradient step.  The update runs once
+    over the whole parameter vector, or stack of vectors; every element
+    sees the same operations in the same order as a per-array update
+    would, so results are bit-identical to it.
     """
     cfg = state.config
     for p, g in zip(model.arrays(), grads.arrays()):
@@ -385,33 +355,25 @@ def opt_step(model: MlpModel, grads: MlpGrads, state: OptimState):
     theta, g = model.theta, grads.theta
     if cfg.weight_decay:
         theta *= 1.0 - lr * cfg.weight_decay
-    if cfg.kind == "sgd":
-        theta -= lr * g
-    elif cfg.kind == "momentum":
-        v = state.slot_a.theta
-        v *= cfg.momentum
-        v += g
-        theta -= lr * v
-    else:  # adam: p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        t = state.step
-        c1 = 1.0 - cfg.beta1 ** t
-        c2 = 1.0 - cfg.beta2 ** t
-        m, v = state.slot_a.theta, state.slot_b.theta
-        step, denom = state.scratch
-        m *= cfg.beta1
-        np.multiply(1.0 - cfg.beta1, g, out=step)
-        m += step
-        v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, g, out=step)
-        step *= g
-        v += step
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += cfg.eps
-        np.divide(m, c1, out=step)
-        np.multiply(lr, step, out=step)
-        step /= denom
-        theta -= step
+    t = state.step
+    c1 = 1.0 - cfg.beta1 ** t
+    c2 = 1.0 - cfg.beta2 ** t
+    m, v = state.m, state.v
+    step, denom = state.scratch
+    m *= cfg.beta1
+    np.multiply(1.0 - cfg.beta1, g, out=step)
+    m += step
+    v *= cfg.beta2
+    np.multiply(1.0 - cfg.beta2, g, out=step)
+    step *= g
+    v += step
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    np.divide(m, c1, out=step)
+    np.multiply(lr, step, out=step)
+    step /= denom
+    theta -= step
     return model, state
 
 
@@ -431,8 +393,8 @@ def classify_error(model: MlpModel, ds: ClassificationDataset):
     return float(error) if error.ndim == 0 else error
 
 
-def eval_loss(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
-    loss, _ = loss_and_grad(model, X, T, kind)
+def eval_loss(model: MlpModel, X: np.ndarray, T: np.ndarray):
+    loss, _ = loss_and_grad(model, X, T)
     return loss
 
 
@@ -443,7 +405,6 @@ def eval_loss(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str):
 class TrainConfig:
     """How to train; its defaults are the config file's ``train`` defaults."""
 
-    loss: str = LOSS_CE
     epochs: int = 100
     batch_size: int = 32
     e_mult: int = 1
@@ -451,8 +412,6 @@ class TrainConfig:
 
     def __post_init__(self):
         _require_structure(self)
-        _require(isinstance(self.loss, str) and self.loss in TRAIN_LOSS_MODES,
-                 "loss", "ce or bce", self.loss)
         _require_counts(self, [("epochs", 0), ("batch_size", 1),
                                ("e_mult", 1)])
 
@@ -506,8 +465,8 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
     Returns the fitted model and its list of ``EpochRecord``s, one per
     epoch.  Epoch order is drawn from ``Rng(seed)``, so a run is fully
     determined by its inputs and ``seed``.  ``test_set``, if given, is
-    evaluated after every epoch with the training loss kind (plus argmax
-    error if it is one-hot).
+    evaluated after every epoch: its cross entropy, plus argmax error if it
+    is one-hot.
 
     Every call trains a stack, in one loop: given equal-length sequences
     of models, sources and seeds, the models train as one stack under the
@@ -531,9 +490,6 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
         s_base = s.base if isinstance(s, ConcatView) else s
         if not isinstance(s_base, ClassificationDataset):
             raise ValueError("a network trains on classification data")
-        if s.mode != TRAIN_LOSS_MODES[config.loss]:
-            raise ValueError(f"{config.loss} loss needs "
-                             f"{TRAIN_LOSS_MODES[config.loss]} targets")
         if (isinstance(s, ConcatView) != view
                 or s_base.features.shape != base.features.shape
                 or s_base.targets.shape != base.targets.shape
@@ -565,14 +521,14 @@ def train(model: MlpModel, source, config: TrainConfig, seed, test_set=None):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for x, t in _epoch_batches(sources, config, rngs, X, T):
-                    loss, _ = loss_and_grad(model, x, t, config.loss, grads)
+                    loss, _ = loss_and_grad(model, x, t, grads)
                     opt_step(model, grads, state)
                     total_loss += loss * x.shape[1]
                 train_error = (None if train_set is None
                                else classify_error(model, train_set))
                 if test_set is not None:
                     test_loss = eval_loss(model, test_set.features,
-                                          test_set.targets, config.loss)
+                                          test_set.targets)
                     if test_one_hot:
                         test_error = classify_error(model, test_set)
             except FloatingPointError as exc:
@@ -609,7 +565,7 @@ def lift_model(model: MlpModel) -> MlpModel:
 # -- gradient checking --------------------------------------------------------
 
 
-def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
+def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray,
                eps: float = 1e-5) -> float:
     """Max relative deviation between analytic and central-difference grads.
 
@@ -619,16 +575,16 @@ def grad_check(model: MlpModel, X: np.ndarray, T: np.ndarray, kind: str,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _, grads = loss_and_grad(model, X, T, kind)
+    _, grads = loss_and_grad(model, X, T)
     probe = model.copy()
     theta = probe.theta
     worst = 0.0
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + eps
-        hi = loss_and_grad(probe, X, T, kind)[0]
+        hi = loss_and_grad(probe, X, T)[0]
         theta[i] = orig - eps
-        lo = loss_and_grad(probe, X, T, kind)[0]
+        lo = loss_and_grad(probe, X, T)[0]
         theta[i] = orig
         fd = (hi - lo) / (2.0 * eps)
         a = grads.theta[i]

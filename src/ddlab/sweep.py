@@ -48,9 +48,8 @@ from .datagen import (ClassificationDataset, apply_label_noise,
                       gen_mixture_classification)
 from .idx import load_idx
 from .linreg import linreg_sample_sweep
-from .nnet import (LOSS_CE, TRAIN_LOSS_MODES, TrainConfig, _finite,
-                   _int_at_least, _number, _require, _require_counts,
-                   _require_structure, init_mlp, train)
+from .nnet import (TrainConfig, _finite, _int_at_least, _number, _require,
+                   _require_counts, _require_structure, init_mlp, train)
 from .records import CSV_HEADER, STATUS_FAILED, CurvePoint, lower_median
 from .rng import Rng, mix_seed
 
@@ -215,8 +214,6 @@ class SweepConfig:
                      self.variants)
             _require(len(self.seeds) == 1, "seeds", "a single seed for "
                      "biasvar, which trains one split ensemble", self.seeds)
-            _require(self.train.loss == LOSS_CE, "train.loss",
-                     "ce for biasvar (categorical outputs)", self.train.loss)
         # a repeated seed or grid point would run, and count, twice
         for key in ("seeds", "variants", "widths", "n_grid"):
             values = getattr(self, key) or ()
@@ -300,8 +297,7 @@ def _standardize(train_x, test_x):
 
 
 def build_base_data(cfg: SweepConfig, seed: int):
-    """(train, test) pair for one sweep seed, label noise already applied,
-    in the target mode the train loss needs (``nnet.TRAIN_LOSS_MODES``).
+    """(train, test) pair for one sweep seed, label noise already applied.
 
     Mixture data draws train and test rows from a single generator call so
     they share class means; test rows never receive label noise.
@@ -341,13 +337,12 @@ def build_base_data(cfg: SweepConfig, seed: int):
             test_ds = test_ds.take(rng.permutation(test_ds.n)[:data.test_n])
     if data.standardize:
         train_x, test_x = _standardize(train_ds.features, test_ds.features)
-        train_ds = ClassificationDataset(train_x, train_ds.targets, train_ds.mode)
-        test_ds = ClassificationDataset(test_x, test_ds.targets, test_ds.mode)
+        train_ds = ClassificationDataset(train_x, train_ds.targets)
+        test_ds = ClassificationDataset(test_x, test_ds.targets)
     if data.noise_fraction > 0.0:
         train_ds = apply_label_noise(train_ds, data.noise_fraction,
                                      Rng(mix_seed(seed, STREAM_NOISE)))
-    mode = TRAIN_LOSS_MODES[cfg.train.loss]
-    return train_ds.with_mode(mode), test_ds.with_mode(mode)
+    return train_ds, test_ds
 
 
 def dataset_hash(*datasets) -> str:

@@ -37,7 +37,7 @@ from ddlab import (ConcatView, Rng, TrainConfig, design_rank,
                    write_idx)
 from ddlab.biasvar import decompose_batch
 from ddlab.cli import run_gradcheck, run_lift_check
-from ddlab.nnet import LOSS_CE, OptimizerConfig
+from ddlab.nnet import OptimizerConfig
 from ddlab.records import STATUS_MEDIAN
 from ddlab.sweep import run_sweep
 
@@ -232,8 +232,8 @@ class TestCriterion7SplitEstimatorConsistency:
         full = gen_mixture_classification(3500, 20, 10, 4.0, rng)
         train_set = full.take(np.arange(2500))
         test_set = full.take(np.arange(2500, 3500))
-        cfg = TrainConfig(LOSS_CE, epochs=40, batch_size=32,
-                          optimizer=OptimizerConfig("adam", lr=0.001))
+        cfg = TrainConfig(epochs=40, batch_size=32,
+                          optimizer=OptimizerConfig(lr=0.001))
         rows = estimate_bias_variance([2, 4, 8, 16, 32], train_set, k=5,
                                       split_size=500, test_set=test_set,
                                       train_config=cfg, base_seed=7)
@@ -295,8 +295,8 @@ class TestCriterion9Determinism:
                      "separation": 4.0, "test_n": 40,
                      "noise_fraction": 0.1},
             "widths": [3, 6],
-            "train": {"loss": "ce", "epochs": 3, "batch_size": 16,
-                      "optimizer": {"kind": "adam", "lr": 0.003}},
+            "train": {"epochs": 3, "batch_size": 16,
+                      "optimizer": {"lr": 0.003}},
         }
         cfg = parse_config(raw)
         run_config(cfg, tmp_path / "a")
@@ -337,8 +337,7 @@ class TestCriterion10SoftmaxSpotValues:
             two = np.zeros((1, c))
             two[0, 0] = two[0, c // 2] = 0.5
             for targets in (one, two):
-                loss, _ = loss_and_grad(model, np.ones((1, 3)), targets,
-                                        LOSS_CE)
+                loss, _ = loss_and_grad(model, np.ones((1, 3)), targets)
                 worst = max(worst, abs(loss - math.log(c)))
         ok = worst < 1e-12
         report(10, ok, f"uniform-logit CE equals ln(c) for c in {{2,10,100}}, "

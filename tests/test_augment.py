@@ -7,7 +7,6 @@ from ddlab import (ClassificationDataset, ConcatView, MemoryBudgetError,
                    RegressionDataset, Rng, build_concat_test,
                    gen_mixture_classification, materialize, one_hot,
                    sample_pairs)
-from ddlab.datagen import MODE_AVERAGED, MODE_MULTI_HOT
 
 
 def tiny_regression():
@@ -29,11 +28,10 @@ def pair_view(kind, n, d, c, seed):
         targets = weights / weights.sum(axis=1, keepdims=True)
         return ConcatView(ClassificationDataset(features, targets))
     targets = one_hot(rng.integers(c, size=n), c)
-    return ConcatView(ClassificationDataset(features, targets,
-                                            MODE_MULTI_HOT))
+    return ConcatView(ClassificationDataset(features, targets))
 
 
-PAIR_KINDS = ("regression", "averaged", "multi_hot")
+PAIR_KINDS = ("regression", "averaged", "one_hot")
 
 
 class TestConcatPair:
@@ -58,29 +56,6 @@ class TestConcatPair:
         base = RegressionDataset(np.zeros((2, 1)), np.array([0.2, 0.6]))
         _, target = ConcatView(base).element(0, 1)
         assert target == pytest.approx(0.4)
-
-    def test_multi_hot_max(self):
-        targets = one_hot([1, 3], 4)
-        view = ConcatView(ClassificationDataset(np.zeros((2, 1)), targets,
-                                                MODE_MULTI_HOT))
-        _, target = view.element(0, 1)
-        np.testing.assert_array_equal(target, [0.0, 1.0, 0.0, 1.0])
-        # same class stays a valid binary vector
-        _, target = view.element(0, 0)
-        np.testing.assert_array_equal(target, targets[0])
-
-    def test_mixed_modes_rejected(self):
-        # pairs take their base's mode, so soft targets cannot pair
-        # multi-hot: the base itself refuses that mode
-        soft = ClassificationDataset(np.zeros((2, 1)),
-                                     np.array([[0.5, 0.5], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            ConcatView(soft.with_mode(MODE_MULTI_HOT))
-        with pytest.raises(TypeError):
-            ConcatView(soft, MODE_MULTI_HOT)
-        assert ConcatView(soft).mode == MODE_AVERAGED
-        regression = RegressionDataset(np.zeros((2, 1)), np.zeros(2))
-        assert ConcatView(regression).mode == MODE_AVERAGED
 
 
 class TestConcatView:
@@ -277,7 +252,7 @@ class TestMaterialize:
         assert np.array_equal(ds.features, features)
         assert ds.targets.shape == targets.shape
         assert np.array_equal(ds.targets, targets)
-        assert getattr(ds, "mode", MODE_AVERAGED) == view.mode
+        assert type(ds) is type(view.base)
 
     def test_target_conservation(self):
         # mean of pair targets equals mean of base targets by linearity

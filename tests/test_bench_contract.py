@@ -132,7 +132,7 @@ def test_tracer_installs_and_uninstalls_cleanly(tracer, tmp_path):
         "variants": ["standard", "concat"], "seeds": [0], "widths": [2],
         "data": {"kind": "mixture", "n": 12, "d": 3, "classes": 2,
                  "separation": 3.0, "test_n": 6},
-        "train": {"loss": "ce", "epochs": 1, "batch_size": 4},
+        "train": {"epochs": 1, "batch_size": 4},
     }
     with tracer.Tracer() as t:
         assert sweep.run_config is not before["ddlab.sweep", "run_config"]

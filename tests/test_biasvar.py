@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ddlab import (Rng, TrainConfig, estimate_bias_variance,
-                   gen_mixture_classification, init_mlp, mix_seed, one_hot,
-                   train)
+from ddlab import (OptimizerConfig, Rng, TrainConfig, estimate_bias_variance,
+                   gen_mixture_classification, init_mlp, one_hot)
+from ddlab import nnet
 from ddlab.biasvar import CSV_HEADER, decompose_batch
-from ddlab.nnet import LOSS_CE, OptimizerConfig
 
 
 def oracle(label, preds):
@@ -188,20 +187,21 @@ class TestEstimator:
         test = gen_mixture_classification(90, 6, 3, 4.0, Rng(22))
         return full, test
 
-    def test_identical_models_give_zero_variance(self):
+    def test_identical_models_give_zero_variance(self, monkeypatch):
         full, test = self._data()
         frozen = init_mlp(6, 4, 3, Rng(5))
+        monkeypatch.setattr(nnet, "train", lambda models, splits, config,
+                            seeds: ([frozen] * len(splits), None))
         (row,) = estimate_bias_variance(
             [4], full, k=3, split_size=80, test_set=test,
-            train_config=None, base_seed=0,
-            train_fn=lambda width, splits, seeds: [frozen] * len(splits))
+            train_config=None, base_seed=0)
         assert abs(row.variance) < 1e-12
         assert row.identity_residual < 1e-10
 
     def test_rows_satisfy_identity_and_subtraction_form(self):
         full, test = self._data()
-        cfg = TrainConfig(LOSS_CE, epochs=8, batch_size=32,
-                          optimizer=OptimizerConfig("adam", lr=0.01))
+        cfg = TrainConfig(epochs=8, batch_size=32,
+                          optimizer=OptimizerConfig(lr=0.01))
         rows = estimate_bias_variance(
             [2, 4, 8], full, k=3, split_size=90, test_set=test,
             train_config=cfg, base_seed=77)
@@ -213,50 +213,37 @@ class TestEstimator:
                                                          abs=1e-8)
             assert row.k == 3
 
-    def test_stacked_default_equals_serial_training(self):
-        # the default hook trains the k splits of a width as one stack;
-        # training each split on its own must give the same report bytes
+    def test_stacked_default_equals_serial_training(self, monkeypatch):
+        # the k splits of a width train as one stack; training each split
+        # on its own must give the same report bytes
         full, test = self._data()
-        cfg = TrainConfig(LOSS_CE, epochs=3, batch_size=32,
-                          optimizer=OptimizerConfig("adam", lr=0.01))
-
-        def serial(width, splits, seeds):
-            fitted = []
-            for split, seed in zip(splits, seeds):
-                model = init_mlp(split.dim, width, split.class_count,
-                                 Rng(mix_seed(seed, 1)))
-                fitted.append(train(model, split, cfg, seed)[0])
-            return fitted
-
+        cfg = TrainConfig(epochs=3, batch_size=32,
+                          optimizer=OptimizerConfig(lr=0.01))
         args = ([2, 5], full, 3, 70, test, cfg, 13)
         stacked = estimate_bias_variance(*args)
-        alone = estimate_bias_variance(*args, train_fn=serial)
-        assert [r.csv_row() for r in stacked] == [r.csv_row() for r in alone]
+        stack_train = nnet.train
 
-    def test_train_fn_must_return_one_model_per_split(self):
-        full, test = self._data()
-        frozen = init_mlp(6, 4, 3, Rng(5))
-        with pytest.raises(ValueError, match="3 splits"):
-            estimate_bias_variance(
-                [4], full, k=3, split_size=80, test_set=test,
-                train_config=None, base_seed=0,
-                train_fn=lambda width, splits, seeds: [frozen])
+        def serial(models, splits, config, seeds):
+            fitted = [stack_train(model, split, config, seed)[0]
+                      for model, split, seed in zip(models, splits, seeds)]
+            return fitted, None
+
+        monkeypatch.setattr(nnet, "train", serial)
+        alone = estimate_bias_variance(*args)
+        assert [r.csv_row() for r in stacked] == [r.csv_row() for r in alone]
 
     def test_split_violation_propagates(self):
         full, test = self._data()
         with pytest.raises(ValueError):
             estimate_bias_variance([2], full, k=5, split_size=100,
                                    test_set=test, train_config=None,
-                                   base_seed=0,
-                                   train_fn=lambda w, splits, seeds: None)
+                                   base_seed=0)
 
     def test_csv_lines(self):
         full, test = self._data()
-        frozen = init_mlp(6, 4, 3, Rng(5))
         (row,) = estimate_bias_variance(
             [4], full, k=2, split_size=80, test_set=test,
-            train_config=None, base_seed=0,
-            train_fn=lambda width, splits, seeds: [frozen] * len(splits))
+            train_config=TrainConfig(epochs=0), base_seed=0)
         assert CSV_HEADER == ("config_id,width,k,risk,bias_kl,variance,"
                               "bias_subtraction,identity_residual")
         assert row.csv_row().startswith("biasvar-w4,4,2,")

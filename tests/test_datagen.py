@@ -4,7 +4,6 @@ import pytest
 from ddlab import (ClassificationDataset, RegressionDataset, Rng,
                    apply_label_noise, gen_linreg, gen_mixture_classification,
                    one_hot, pinv_solve, sample_theta, split_k)
-from ddlab.datagen import MODE_AVERAGED, MODE_MULTI_HOT
 
 
 class TestSampleTheta:
@@ -112,7 +111,7 @@ class TestLabelNoise:
 
     def test_soft_targets_rejected(self):
         soft = ClassificationDataset(np.zeros((2, 3)),
-                                     np.full((2, 2), 0.5), MODE_AVERAGED)
+                                     np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
             apply_label_noise(soft, 0.5, Rng(0))
 
@@ -158,15 +157,7 @@ class TestDatasetInvariants:
 
     def test_averaged_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            ClassificationDataset(np.zeros((1, 2)), np.array([[0.6, 0.6]]),
-                                  MODE_AVERAGED)
-
-    def test_multi_hot_entries_binary(self):
-        ClassificationDataset(np.zeros((1, 2)), np.array([[1.0, 1.0]]),
-                              MODE_MULTI_HOT)
-        with pytest.raises(ValueError):
-            ClassificationDataset(np.zeros((1, 2)), np.array([[0.5, 1.0]]),
-                                  MODE_MULTI_HOT)
+            ClassificationDataset(np.zeros((1, 2)), np.array([[0.6, 0.6]]))
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError):

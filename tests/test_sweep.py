@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -33,9 +34,9 @@ LINREG_BOTH_VARIANTS = {
 LINREG_BOTH_VARIANTS_SHA256 = (
     "289d08749f86b9d82c4d54f99067483434f6ac2ace17bddf20c1dfe304b95eeb")
 
-# Tiny configs of the training kinds, together covering every optimizer
-# branch (adam, momentum with weight decay, sgd) and every output file.
-# Each maps output file name -> SHA-256 of its bytes.
+# Tiny configs of the training kinds, together covering Adam with and
+# without weight decay and every output file.  Each maps output file
+# name -> SHA-256 of its bytes.
 _TINY_MIXTURE = {"kind": "mixture", "n": 60, "d": 5, "classes": 3,
                  "separation": 4.0, "test_n": 30, "noise_fraction": 0.1}
 TRAINING_GOLDEN = {
@@ -43,40 +44,25 @@ TRAINING_GOLDEN = {
         "experiment": "mlp-width", "experiment_id": "ce_adam",
         "variants": ["standard", "concat"], "seeds": [0],
         "data": _TINY_MIXTURE, "widths": [2, 4],
-        "train": {"loss": "ce", "epochs": 3, "batch_size": 16,
-                  "optimizer": {"kind": "adam", "lr": 0.003}},
+        "train": {"epochs": 3, "batch_size": 16,
+                  "optimizer": {"lr": 0.003}},
     }, {
         "ce_adam.csv":
             "7eb76a71ec32d5603610f230a0cc71cfa651f04e3809f48c763dd2f84458c4e9",
         "ce_adam_traces.csv":
             "3f5c3b6e17f4177bcd6e54811f71dce23aa494da3ecbd42ea787ed76b33079d4",
     }),
-    "mlp-width-bce-momentum-wd": ({
-        "experiment": "mlp-width", "experiment_id": "bce_momentum",
+    "mlp-width-ce-adam-wd": ({
+        "experiment": "mlp-width", "experiment_id": "adam_wd",
         "variants": ["standard", "concat"], "seeds": [1],
         "data": _TINY_MIXTURE, "widths": [3],
-        "train": {"loss": "bce", "epochs": 3, "batch_size": 16,
-                  "optimizer": {"kind": "momentum", "lr": 0.05,
-                                "momentum": 0.9, "weight_decay": 0.01}},
+        "train": {"epochs": 3, "batch_size": 16,
+                  "optimizer": {"lr": 0.003, "weight_decay": 0.01}},
     }, {
-        "bce_momentum.csv":
-            "a1b096471ab955d5778e36428f3406200fa24c40bb2de6b74aabf9840370791e",
-        "bce_momentum_traces.csv":
-            "28b4979b3d7adb87cd96abb15883dfc3a17b8b7f46e29a2d6b01fa2a5b061b38",
-    }),
-    # Once its own experiment kind, whose per-epoch CSV is byte for byte
-    # an mlp-width sweep's traces; the final-epoch table was pinned then.
-    "epochwise-sgd": ({
-        "experiment": "mlp-width", "experiment_id": "sgd",
-        "variants": ["standard", "concat"], "seeds": [2],
-        "data": _TINY_MIXTURE, "widths": [4],
-        "train": {"loss": "ce", "epochs": 3, "batch_size": 16,
-                  "optimizer": {"kind": "sgd", "lr": 0.1}},
-    }, {
-        "sgd.csv":
-            "2b45cfee1324467b770b5168c0a91cd0d954e622a6a8f90dbe1cb65690e3b9dd",
-        "sgd_traces.csv":
-            "6aa47789cae3be9e428def632697a6e5bf2a2f9753338fbcc5cffa69a8cc5b10",
+        "adam_wd.csv":
+            "21a94993634d2602edeb837bb92e07f144a7f02da7c511218c9b11088657c86c",
+        "adam_wd_traces.csv":
+            "3e70076584bd8650df950335f4efa2b6ade8f005ce3b1a6ec3958388178f6f8c",
     }),
     "biasvar": ({
         "experiment": "biasvar", "experiment_id": "bv",
@@ -84,8 +70,8 @@ TRAINING_GOLDEN = {
         "data": {"kind": "mixture", "n": 90, "d": 4, "classes": 3,
                  "separation": 4.0, "test_n": 30},
         "widths": [2, 4], "splits": {"k": 3, "split_size": 30},
-        "train": {"loss": "ce", "epochs": 2, "batch_size": 16,
-                  "optimizer": {"kind": "adam", "lr": 0.003}},
+        "train": {"epochs": 2, "batch_size": 16,
+                  "optimizer": {"lr": 0.003}},
     }, {
         "bv_biasvar.csv":
             "67eabe98e4a5b7cf0211d853c2c2e5f63825d9a36d432b36170079860c45c23e",
@@ -102,8 +88,8 @@ def mixture_config(**overrides):
         "data": {"kind": "mixture", "n": 60, "d": 5, "classes": 3,
                  "separation": 4.0, "test_n": 30, "noise_fraction": 0.1},
         "widths": [4],
-        "train": {"loss": "ce", "epochs": 2, "batch_size": 16,
-                  "optimizer": {"kind": "adam", "lr": 0.003}},
+        "train": {"epochs": 2, "batch_size": 16,
+                  "optimizer": {"lr": 0.003}},
     }
     raw.update(overrides)
     return raw
@@ -130,13 +116,22 @@ class TestConfigParsing:
             parse_config(mixture_config(sgima=0.2))
 
     def test_unknown_nested_key(self):
-        # a section the schema has no place for reads like a misspelt key
-        misspelt, section = mixture_config(), mixture_config()
-        misspelt["train"]["epoch"] = 3
-        section["train"]["optimizer"]["schedule"] = {"factor": 0.5,
-                                                     "every_k_epochs": 1}
-        for raw, key in [(misspelt, "train.epoch"),
-                         (section, "train.optimizer.schedule")]:
+        # a section the schema has no place for reads like a misspelt key,
+        # and so do the loss and optimizer choices that are gone, on
+        # either network kind
+        for kind, (key, value) in itertools.product(
+                ["mlp-width", "biasvar"],
+                [("train.epoch", 3),
+                 ("train.optimizer.schedule", {"factor": 0.5,
+                                               "every_k_epochs": 1}),
+                 ("train.loss", "ce"), ("train.loss", "mse"),
+                 ("train.optimizer.kind", "adam"),
+                 ("train.optimizer.momentum", 0.9)]):
+            raw = kind_config(kind)
+            node, *keys = raw, *key.split(".")
+            for part in keys[:-1]:
+                node = node[part]
+            node[keys[-1]] = value
             with pytest.raises(ConfigError) as info:
                 parse_config(raw)
             assert str(info.value) == f"unknown key '{key}'"
@@ -235,12 +230,13 @@ class TestConfigParsing:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("path,value,key", [
-        ("train.optimizer.kind", "rmsprop", None),
+        ("train.optimizer.lr", float("nan"), None),
         ("train.optimizer.beta2", 1.0, None),
         ("train.optimizer.weight_decay", -5.0, None),
-        ("train.optimizer.momentum", -1.0, None),
+        ("train.optimizer.beta1", -0.1, None),
         ("train.optimizer.beta1", 1.5, None),
-        ("train.loss", "hinge", None), ("data.classes", 121, None),
+        ("train.optimizer.weight_decay", float("inf"), None),
+        ("data.classes", 121, None),
         ("data.noise_fraction", 1.5, None),
         ("train.optimizer.eps", float("inf"), None),
         ("experiment", "epochwise", None), ("seeds", [], None),
@@ -263,7 +259,7 @@ class TestConfigParsing:
         ("splits.k", 0, None), ("splits.split_size", 0, None),
         ("splits.split_size", 31, "splits.k * splits.split_size"),
         ("mlp-width:train.epochs", 0, None), ("variants", ["concat"], None),
-        ("seeds", [0, 1], None), ("train.loss", "bce", None)])
+        ("seeds", [0, 1], None)])
     def test_range_errors_name_the_dotted_key(self, path, value, key):
         # every section checks its own ranges; parsing prefixes the section
         # path to the field name their messages start with.  A path may
@@ -322,9 +318,8 @@ class TestConfigParsing:
         raw["train"] = {}
         train = parse_config(raw).train
         assert train == TrainConfig()
-        assert (train.loss, train.epochs, train.batch_size, train.e_mult) \
-            == ("ce", 100, 32, 1)
-        assert (train.optimizer.kind, train.optimizer.lr) == ("adam", 0.001)
+        assert (train.epochs, train.batch_size, train.e_mult) == (100, 32, 1)
+        assert train.optimizer.lr == 0.001
 
     @pytest.mark.parametrize("kind,key,value", [
         ("mlp-width", "sigma", 0.1), ("mlp-width", "n_grid", [2]),
@@ -358,7 +353,7 @@ class TestConfigParsing:
 
     def test_epochwise_kind_is_gone(self):
         # epoch curves are an mlp-width sweep's _traces.csv
-        raw = json.loads(json.dumps(TRAINING_GOLDEN["epochwise-sgd"][0]))
+        raw = json.loads(json.dumps(TRAINING_GOLDEN["mlp-width-ce-adam"][0]))
         raw["experiment"] = "epochwise"
         with pytest.raises(ConfigError, match=(
                 "^experiment must be one of linreg-sample, mlp-width, "
@@ -376,14 +371,6 @@ class TestConfigParsing:
             parse_config(raw)
         assert str(info.value) == (
             f"{key} must be distinct ({repeated} repeats), got {value!r}")
-
-    @pytest.mark.parametrize("kind", ["mlp-width", "biasvar"])
-    def test_mse_loss_rejected_on_network_sweeps(self, kind):
-        golden = "biasvar" if kind == "biasvar" else "mlp-width-ce-adam"
-        raw = json.loads(json.dumps(TRAINING_GOLDEN[golden][0]))
-        raw["train"]["loss"] = "mse"
-        with pytest.raises(ConfigError, match=r"^train\.loss must be ce or bce"):
-            parse_config(raw)
 
     def test_concat_pair_design_over_budget_rejected(self):
         # n^2 (2d + 1) 8 bytes against the 6 GiB budget: at d = 30, n = 3633
@@ -526,15 +513,14 @@ def _ints(low, high=50):
 def _optimizer_section():
     fraction = _finite(0.0, 1.0, exclude_max=True)
     return st.fixed_dictionaries({}, optional={
-        "kind": st.sampled_from(["sgd", "momentum", "adam"]),
         "lr": _finite(0.0, 10.0, exclude_min=True),
-        "momentum": fraction, "beta1": fraction, "beta2": fraction,
+        "beta1": fraction, "beta2": fraction,
         "eps": _finite(0.0, 1.0, exclude_min=True),
         "weight_decay": _finite(0.0, 1.0)})
 
 
-def _train_section(losses, min_epochs=0):
-    return st.fixed_dictionaries({"loss": st.sampled_from(losses)}, optional={
+def _train_section(min_epochs=0):
+    return st.fixed_dictionaries({}, optional={
         "epochs": _ints(min_epochs), "batch_size": _ints(1), "e_mult": _ints(1),
         "optimizer": _optimizer_section()})
 
@@ -572,7 +558,7 @@ def valid_raw_configs(draw, idx_paths):
                                         unique=True)),
                    splits={"k": k, "split_size": split_size},
                    data=draw(_data_section(idx_paths, min_n=k * split_size)),
-                   train=draw(_train_section(["ce"])))
+                   train=draw(_train_section()))
         return raw
     # seeds, variants, widths and n_grid must not repeat an entry
     raw.update(seeds=draw(st.lists(st.integers(0, 2**32), min_size=1,
@@ -589,7 +575,7 @@ def valid_raw_configs(draw, idx_paths):
                                         unique=True)),
                    data=draw(_data_section(idx_paths)),
                    # an mlp-width cell reports its final epoch
-                   train=draw(_train_section(["ce", "bce"], min_epochs=1)))
+                   train=draw(_train_section(min_epochs=1)))
     return raw
 
 
@@ -639,8 +625,8 @@ class TestWidthSweep:
     def test_point_counting(self):
         cfg = parse_config(mixture_config(
             widths=[1], seeds=[0],
-            train={"loss": "ce", "epochs": 1, "batch_size": 16,
-                   "optimizer": {"kind": "adam", "lr": 0.003}}))
+            train={"epochs": 1, "batch_size": 16,
+                   "optimizer": {"lr": 0.003}}))
         result = run_sweep(cfg)
         assert len(result.points) == 2  # one per variant
         variants = {p.variant for p in result.points}
@@ -670,7 +656,7 @@ class TestWidthSweep:
 
     def test_failed_cell_keeps_sweep_alive(self):
         raw = mixture_config(widths=[2, 3])
-        raw["train"]["optimizer"] = {"kind": "sgd", "lr": 1e150}
+        raw["train"]["optimizer"] = {"lr": 1e308}
         raw["train"]["epochs"] = 6
         cfg = parse_config(raw)
         result = run_sweep(cfg)
@@ -892,7 +878,7 @@ class TestOutputs:
 
     def test_diverging_biasvar_widths_fail_soft(self, tmp_path):
         raw = json.loads(json.dumps(TRAINING_GOLDEN["biasvar"][0]))
-        raw["train"]["optimizer"] = {"kind": "sgd", "lr": 1e150}
+        raw["train"]["optimizer"] = {"lr": 1e308}
         result = run_config(parse_config(raw), tmp_path)
         report = (tmp_path / "bv_biasvar.csv").read_text()
         assert report.splitlines() == [BIASVAR_CSV_HEADER]
@@ -989,17 +975,19 @@ class TestPresets:
             assert cfg.experiment_id == name
 
     # SHA-256 of each bundled preset's resolved-config echo, the JSON that
-    # the CLI prints before a run; recorded before the optimizer and train
-    # sections took their range checks from nnet.
+    # the CLI prints before a run.  The three network echoes are the
+    # earlier echoes with train.loss, train.optimizer.kind and
+    # train.optimizer.momentum deleted, once softmax cross entropy under
+    # Adam became the only objective; fig1's has not moved.
     PRESET_ECHO_SHA256 = {
         "biasvar_mixture":
-            "1016563641e7f61cb78fdb9daea59202d147dd72f89951187d95df7c2b2c5851",
+            "47483ff4a196383c9cf8ff51cba96e3bd4d9f42adc24cd46a21d8660e5cbda8e",
         "desk_mixture":
-            "7d9a502b69d7c2e95575f50733e456e0c05ad25aeae583968ee386b8b45d4bca",
+            "e253cf701d3ca13903869939276d9f201a09712368994a080fd6ebad4235cb52",
         "fig1":
             "568e8eede56a33d900f50d87eaba745ee14c856cc55d0795d529b6393e5f09cb",
         "fig2_mnist":
-            "72c8e55c697d0f592d40850c14509c6ca3547dccff92b84690ff7a77b4c95bfe",
+            "8d3fded08960b86af3fe0df0004f7559856a7a011a7c91f876a7d49b3d352a6b",
     }
 
     @pytest.mark.parametrize("name", sorted(PRESET_ECHO_SHA256))
@@ -1029,7 +1017,7 @@ class TestPresets:
         train = raw["train"]
         assert train["batch_size"] == 100 and train["epochs"] == 1000
         opt = train["optimizer"]
-        assert opt["kind"] == "adam" and opt["lr"] == 0.001
+        assert opt["lr"] == 0.001
         assert opt["beta1"] == 0.9 and opt["beta2"] == 0.999
 
     def test_desk_mixture_preset_values(self):
